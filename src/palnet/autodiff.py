@@ -38,9 +38,6 @@ class TapeError(EngineError):
     pass
 
 
-_TAPE_COUNTER = 0
-
-
 class Node:
     __slots__ = ("op", "inputs", "value", "ctx", "requires_grad")
 
@@ -56,9 +53,6 @@ class Tape:
     """Append-only record of operations; node inputs always precede the node."""
 
     def __init__(self):
-        global _TAPE_COUNTER
-        _TAPE_COUNTER += 1
-        self.generation = _TAPE_COUNTER
         self.nodes: list[Node] = []
         self.recording = True
 
@@ -179,7 +173,8 @@ _EVAL: dict[str, Callable] = {}
 _VJP: dict[str, Callable] = {}
 
 # ops that only move data around cannot create NaN/Inf from finite inputs
-_NO_FINITE_CHECK = {"reshape", "transpose", "gather", "broadcast_to", "relu", "abs", "neg"}
+_NO_FINITE_CHECK = {"reshape", "transpose", "gather", "broadcast_to", "relu", "abs", "neg",
+                    "im2col", "pad", "crop"}
 
 
 def _check_finite(kind: str, arr: np.ndarray):
@@ -590,46 +585,112 @@ def matmul(a, b) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution and pooling (built from gather / scatter_add / matmul)
+# convolution and pooling
 # ---------------------------------------------------------------------------
+#
+# Index tables describe one sample and are applied along the batch axis, so
+# they do not grow with the batch.  im2col/col2im and pad/crop are adjoint
+# pairs: each one's VJP is the other, which keeps higher orders free.
 
 
 @lru_cache(maxsize=256)
-def _pad_indices(n, c, h, w, p):
-    hp, wp = h + 2 * p, w + 2 * p
-    ni = np.arange(n, dtype=np.int64)[:, None, None, None]
-    ci = np.arange(c, dtype=np.int64)[None, :, None, None]
-    hi = np.arange(h, dtype=np.int64)[None, None, :, None] + p
-    wi = np.arange(w, dtype=np.int64)[None, None, None, :] + p
-    return (((ni * c + ci) * hp + hi) * wp + wi).ravel()
-
-
-@lru_cache(maxsize=256)
-def _im2col_indices(n, c, hp, wp, k, s):
+def _im2col_indices(c, hp, wp, k, s):
+    """Flat indices into one (c, hp, wp) sample; row (oi, oj), column (ci, ki, kj)."""
     oh = (hp - k) // s + 1
     ow = (wp - k) // s + 1
-    ni = np.arange(n, dtype=np.int64)[:, None, None, None, None, None]
-    oi = np.arange(oh, dtype=np.int64)[None, :, None, None, None, None] * s
-    oj = np.arange(ow, dtype=np.int64)[None, None, :, None, None, None] * s
-    ci = np.arange(c, dtype=np.int64)[None, None, None, :, None, None]
-    ki = np.arange(k, dtype=np.int64)[None, None, None, None, :, None]
-    kj = np.arange(k, dtype=np.int64)[None, None, None, None, None, :]
-    idx = ((ni * c + ci) * hp + oi + ki) * wp + oj + kj
-    return idx.reshape(n * oh * ow, c * k * k), oh, ow
+    oi = np.arange(oh, dtype=np.int64)[:, None, None, None, None] * s
+    oj = np.arange(ow, dtype=np.int64)[None, :, None, None, None] * s
+    ci = np.arange(c, dtype=np.int64)[None, None, :, None, None]
+    ki = np.arange(k, dtype=np.int64)[None, None, None, :, None]
+    kj = np.arange(k, dtype=np.int64)[None, None, None, None, :]
+    idx = ((ci * hp + oi + ki) * wp + oj + kj).reshape(oh * ow, c * k * k)
+    idx.setflags(write=False)              # shared by every caller through the cache
+    return idx
 
 
-@lru_cache(maxsize=256)
-def _pool_window_indices(n, c, h, w, k, s):
-    oh = (h - k) // s + 1
-    ow = (w - k) // s + 1
-    ni = np.arange(n, dtype=np.int64)[:, None, None, None, None, None]
-    ci = np.arange(c, dtype=np.int64)[None, :, None, None, None, None]
-    oi = np.arange(oh, dtype=np.int64)[None, None, :, None, None, None] * s
-    oj = np.arange(ow, dtype=np.int64)[None, None, None, :, None, None] * s
-    ki = np.arange(k, dtype=np.int64)[None, None, None, None, :, None]
-    kj = np.arange(k, dtype=np.int64)[None, None, None, None, None, :]
-    idx = ((ni * c + ci) * h + oi + ki) * w + oj + kj
-    return idx.reshape(n, c, oh, ow, k * k), oh, ow
+def _eval_im2col(v, ctx):
+    n, idx = ctx["shape"][0], ctx["idx"]
+    return np.take(v[0].reshape(n, -1), idx, axis=1).reshape(n * idx.shape[0], idx.shape[1])
+
+
+def _eval_col2im(v, ctx):
+    # one bincount per sample: a pixel sums only its own sample's columns, in
+    # (oi, oj) order, so its bits do not depend on the batch it came in
+    n, c, hp, wp = ctx["shape"]
+    idx, cols = ctx["idx"].ravel(), v[0].reshape(n, -1)
+    out = np.empty((n, c * hp * wp))
+    for i in range(n):
+        out[i] = np.bincount(idx, weights=cols[i], minlength=c * hp * wp)
+    return out.reshape(ctx["shape"])
+
+
+def _eval_pad(v, ctx):
+    p, x = ctx["p"], v[0]
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    # += into zeros, not =, maps -0.0 to +0.0 like any sum into zeros does;
+    # tests/test_conv_parity.py holds pad to the bits of a scatter_add
+    out[:, :, p : p + h, p : p + w] += x
+    return out
+
+
+def _eval_crop(v, ctx):
+    p, x = ctx["p"], v[0]
+    return x[:, :, p : x.shape[2] - p, p : x.shape[3] - p]
+
+
+_EVAL["im2col"] = _eval_im2col
+_EVAL["col2im"] = _eval_col2im
+_EVAL["pad"] = _eval_pad
+_EVAL["crop"] = _eval_crop
+
+
+def _vjp_im2col(tape, node, out_id, g, needs):
+    return [col2im(g, node.ctx["shape"], *node.ctx["ks"])]
+
+
+def _vjp_col2im(tape, node, out_id, g, needs):
+    return [im2col(g, *node.ctx["ks"])]
+
+
+def _vjp_pad(tape, node, out_id, g, needs):
+    return [crop(g, node.ctx["p"])]
+
+
+def _vjp_crop(tape, node, out_id, g, needs):
+    return [pad(g, node.ctx["p"])]
+
+
+_VJP["im2col"] = _vjp_im2col
+_VJP["col2im"] = _vjp_col2im
+_VJP["pad"] = _vjp_pad
+_VJP["crop"] = _vjp_crop
+
+
+def im2col(x, k: int, s: int) -> Tensor:
+    """(n, c, hp, wp) -> (n*oh*ow, c*k*k): every k x k window at stride s as a row."""
+    shape = _value(x).shape
+    idx = _im2col_indices(*shape[1:], k, s)
+    return _apply("im2col", [x], {"shape": shape, "idx": idx, "ks": (k, s)})
+
+
+def col2im(cols, shape, k: int, s: int) -> Tensor:
+    """Adjoint of im2col: sum each row back into the window it came from."""
+    shape = tuple(shape)
+    idx = _im2col_indices(*shape[1:], k, s)
+    if _value(cols).size != shape[0] * idx.size:
+        raise ShapeError(f"col2im: {_value(cols).shape} columns do not fit {shape}")
+    return _apply("col2im", [cols], {"shape": shape, "idx": idx, "ks": (k, s)})
+
+
+def pad(x, p: int) -> Tensor:
+    """Zero-pad the last two axes of an NCHW batch by p on every side."""
+    return _apply("pad", [x], {"p": p})
+
+
+def crop(x, p: int) -> Tensor:
+    """Adjoint of pad: drop p rows and columns from every side."""
+    return _apply("crop", [x], {"p": p})
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -648,15 +709,39 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     if k > hp or k > wp:
         raise ShapeError(f"conv2d: kernel {k} larger than padded input {hp}x{wp}")
     if padding > 0:
-        x = scatter_add(x, _pad_indices(n, c, h, w, padding), (n, c, hp, wp))
-    col_idx, oh, ow = _im2col_indices(n, c, hp, wp, k, stride)
-    cols = gather(x, col_idx)                              # (n*oh*ow, c*k*k)
+        x = pad(x, padding)
+    oh, ow = (hp - k) // stride + 1, (wp - k) // stride + 1
+    cols = im2col(x, k, stride)                            # (n*oh*ow, c*k*k)
     wmat = transpose(reshape(weight, (o, c * k * k)), (1, 0))
     out = matmul(cols, wmat)                               # (n*oh*ow, o)
     out = transpose(reshape(out, (n, oh, ow, o)), (0, 3, 1, 2))
     if bias is not None:
         out = add(out, reshape(bias, (1, o, 1, 1)))
     return out
+
+
+def _pool_argmax(xv: np.ndarray, k: int, s: int) -> np.ndarray:
+    """Flat index into xv of the first maximum, in row-major order, of every window."""
+    n, c, h, w = xv.shape
+    oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    span_h, span_w = s * (oh - 1) + 1, s * (ow - 1) + 1
+    views = [xv[:, :, ki : ki + span_h : s, kj : kj + span_w : s]
+             for ki in range(k) for kj in range(k)]
+    top = views[0]
+    for view in views[1:]:
+        top = np.maximum(top, view)
+    # the first maximum's position in the window = how many offsets before it
+    # are all below the maximum; equal values count as maxima, so ties go to
+    # the earliest offset
+    below = views[0] < top
+    first = below.astype(np.int64, order="C")
+    for view in views[1:-1]:
+        below &= view < top
+        first += below
+    first += first // k * (w - k)                          # (ki, kj) -> ki * w + kj
+    first += (np.arange(oh, dtype=np.int64) * (s * w))[:, None] + np.arange(ow, dtype=np.int64) * s
+    first += (np.arange(n * c, dtype=np.int64) * (h * w)).reshape(n, c, 1, 1)
+    return first
 
 
 def maxpool2d(x, k: int, s: int) -> Tensor:
@@ -667,11 +752,7 @@ def maxpool2d(x, k: int, s: int) -> Tensor:
     n, c, h, w = xv.shape
     if k > h or k > w:
         raise ShapeError(f"pooling window {k} exceeds spatial extent {h}x{w}")
-    win_idx, oh, ow = _pool_window_indices(n, c, h, w, k, s)
-    windows = xv.ravel()[win_idx]              # (n, c, oh, ow, k*k)
-    local = np.argmax(windows, axis=-1)
-    chosen = np.take_along_axis(win_idx, local[..., None], axis=-1)[..., 0]
-    return gather(x, chosen)
+    return gather(x, _pool_argmax(xv, k, s))
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,21 @@ def manifest_path(out_dir: str, split: str) -> str:
     return os.path.join(out_dir, f"{split}_manifest.json")
 
 
+def _manifest_field(path: str, obj, key: str, kind: type, where: str):
+    """obj[key], checked to be a `kind`; anything else is a named DataError."""
+    if not isinstance(obj, dict):
+        raise DataError(f"corrupt manifest {path}: {where} is not a JSON object")
+    if key not in obj:
+        raise DataError(f"corrupt manifest {path}: {where} has no field '{key}'")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DataError(f"corrupt manifest {path}: field '{key}' of {where} should be "
+                        f"{kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def load_manifest(path: str) -> DatasetManifest:
-    """Load and validate: files exist, labels in range, every class present."""
+    """Load and validate: fields present, files exist, labels in range, every class present."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -206,11 +219,17 @@ def load_manifest(path: str) -> DatasetManifest:
     except json.JSONDecodeError as exc:
         raise DataError(f"corrupt manifest {path}: {exc}") from exc
     root = os.path.dirname(os.path.abspath(path))
-    n_classes = payload["n_classes"]
+    top = {key: _manifest_field(path, payload, key, kind, "the manifest")
+           for key, kind in (("n_classes", int), ("split", str), ("height", int),
+                             ("width", int), ("n_landmarks", int), ("entries", list))}
+    n_classes = top["n_classes"]
     entries = []
     seen = set()
-    for e in payload["entries"]:
-        entry = ManifestEntry(e["image"], e["landmarks"], int(e["label"]))
+    for i, e in enumerate(top["entries"]):
+        where = f"entry {i}"
+        entry = ManifestEntry(_manifest_field(path, e, "image", str, where),
+                              _manifest_field(path, e, "landmarks", str, where),
+                              _manifest_field(path, e, "label", int, where))
         if not 0 <= entry.label < n_classes:
             raise DataError(
                 f"{path}: entry '{entry.image}' has label {entry.label} outside [0, {n_classes})"
@@ -224,9 +243,8 @@ def load_manifest(path: str) -> DatasetManifest:
         missing = sorted(set(range(n_classes)) - seen)
         raise DataError(f"{path}: classes {missing} have no samples")
     return DatasetManifest(
-        root=root, entries=entries, n_classes=n_classes, split=payload["split"],
-        height=payload["height"], width=payload["width"],
-        n_landmarks=payload["n_landmarks"],
+        root=root, entries=entries, n_classes=n_classes, split=top["split"],
+        height=top["height"], width=top["width"], n_landmarks=top["n_landmarks"],
     )
 
 

@@ -281,6 +281,7 @@ def save_checkpoint(path: str, spec: ModelSpec, params: Parameters) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[ModelSpec, Parameters]:
+    """Read a checkpoint; its entries must tile the payload exactly and be finite."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -288,12 +289,19 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, Parameters]:
         header = json.loads(header_line.decode())
         spec = spec_from_dict(header["spec"])
         params: Parameters = {}
+        end = 0
         for entry in header["entries"]:
-            shape = tuple(entry["shape"])
+            name, shape = entry["name"], tuple(entry["shape"])
+            if entry["offset"] != end:
+                raise ValueError(f"entry '{name}' starts at byte {entry['offset']}, expected {end}")
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            start = entry["offset"]
-            arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-            params[entry["name"]] = arr.reshape(shape).astype(np.float64)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+            arr = np.frombuffer(payload, dtype="<f8", count=count, offset=end)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"entry '{name}' holds NaN/Inf")
+            params[name] = arr.reshape(shape).astype(np.float64)
+            end += arr.nbytes
+        if len(payload) != end:
+            raise ValueError(f"{len(payload) - end} bytes after the last entry")
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ModelError(f"corrupt checkpoint {path}: {exc}") from exc
     return spec, params

@@ -139,6 +139,66 @@ def test_manifest_label_out_of_range(tmp_path):
         load_manifest(path)
 
 
+def _rewrite_manifest(path, edit):
+    with open(path) as fh:
+        payload = json.load(fh)
+    payload = edit(payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
+@pytest.mark.parametrize("field", ["n_classes", "split", "height", "width", "n_landmarks",
+                                   "entries"])
+def test_manifest_missing_top_level_field_is_named(tmp_path, field):
+    root = str(tmp_path)
+    generate_dataset(root, seed=0, n=7, split="train")
+    path = manifest_path(root, "train")
+    _rewrite_manifest(path, lambda p: {k: v for k, v in p.items() if k != field})
+    with pytest.raises(DataError, match=f"train_manifest.json: the manifest has no field '{field}'"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("field", ["image", "landmarks", "label"])
+def test_manifest_missing_entry_field_is_named(tmp_path, field):
+    root = str(tmp_path)
+    generate_dataset(root, seed=0, n=7, split="train")
+    path = manifest_path(root, "train")
+
+    def drop(p):
+        del p["entries"][2][field]
+        return p
+
+    _rewrite_manifest(path, drop)
+    with pytest.raises(DataError, match=f"entry 2 has no field '{field}'"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("payload,message", [
+    ([1, 2, 3], "the manifest is not a JSON object"),
+    ({"n_classes": "7"}, "field 'n_classes' of the manifest should be int, got str"),
+])
+def test_manifest_wrong_json_shape_is_a_data_error(tmp_path, payload, message):
+    path = str(tmp_path / "train_manifest.json")
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(DataError, match=message):
+        load_manifest(path)
+
+
+def test_manifest_entry_not_an_object(tmp_path):
+    root = str(tmp_path)
+    generate_dataset(root, seed=0, n=7, split="train")
+    path = manifest_path(root, "train")
+
+    def replace(p):
+        p["entries"][0] = "train_00000.pgm"
+        return p
+
+    _rewrite_manifest(path, replace)
+    with pytest.raises(DataError, match="entry 0 is not a JSON object"):
+        load_manifest(path)
+
+
 def test_landmark_count_mismatch(tmp_path):
     root = str(tmp_path)
     generate_dataset(root, seed=0, n=7, split="train")

@@ -229,3 +229,47 @@ def test_checkpoint_failure_leaves_no_partial_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
     for k, v in load_checkpoint(path)[1].items():
         assert np.array_equal(v, original[k])
+
+
+def _write_raw_checkpoint(path, header_line: bytes, payload: bytes):
+    with open(path, "wb") as fh:
+        fh.write(header_line + payload)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, tiny16(), init_params(tiny16(), 0))
+    with open(path, "ab") as fh:
+        fh.write(bytes(8))
+    with pytest.raises(ModelError, match="8 bytes after the last entry"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_value_rejected(tmp_path, bad):
+    path = str(tmp_path / "model.ckpt")
+    params = init_params(tiny16(), 0)
+    save_checkpoint(path, tiny16(), params)
+    with open(path, "rb") as fh:
+        header_line, payload = fh.readline(), bytearray(fh.read())
+    # the first entry (sorted names) is conv1.bias; poison its second value
+    payload[8:16] = np.array([bad], dtype="<f8").tobytes()
+    _write_raw_checkpoint(path, header_line, bytes(payload))
+    with pytest.raises(ModelError, match="entry 'conv1.bias' holds NaN/Inf"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_gap_or_short_payload_rejected(tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, tiny16(), init_params(tiny16(), 0))
+    with open(path, "rb") as fh:
+        header_line, payload = fh.readline(), fh.read()
+    _write_raw_checkpoint(path, header_line, payload[:-8])
+    with pytest.raises(ModelError, match="corrupt checkpoint"):
+        load_checkpoint(path)
+    _write_raw_checkpoint(path, header_line.replace(b'"offset": 0', b'"offset": 8'), payload)
+    with pytest.raises(ModelError, match="starts at byte 8, expected 0"):
+        load_checkpoint(path)
+    _write_raw_checkpoint(path, b"[]\n", payload)
+    with pytest.raises(ModelError, match="corrupt checkpoint"):
+        load_checkpoint(path)
