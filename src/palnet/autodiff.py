@@ -16,6 +16,7 @@ Conventions baked in here:
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -39,18 +40,26 @@ class TapeError(EngineError):
 
 
 class Node:
-    __slots__ = ("op", "inputs", "value", "ctx", "requires_grad")
+    """One recorded op.  `value` is None unless a backward rule reads it."""
 
-    def __init__(self, op, inputs, value, ctx, requires_grad):
+    __slots__ = ("op", "inputs", "value", "shape", "ctx", "requires_grad")
+
+    def __init__(self, op, inputs, value, shape, ctx, requires_grad):
         self.op = op
         self.inputs = inputs
         self.value = value
+        self.shape = shape
         self.ctx = ctx
         self.requires_grad = requires_grad
 
 
 class Tape:
-    """Append-only record of operations; node inputs always precede the node."""
+    """Append-only record of operations; node inputs always precede the node.
+
+    A node keeps its value only when a backward rule reads it: its own rule
+    (see `_KEEP_OUTPUT`) or a recorded consumer's (see `_KEEP_INPUTS`).  Every
+    other value is freed as soon as the caller drops its Tensor.
+    """
 
     def __init__(self):
         self.nodes: list[Node] = []
@@ -63,36 +72,23 @@ class Tape:
         arr = np.asarray(value, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise NonFiniteError("leaf value contains NaN/Inf")
-        self.nodes.append(Node("leaf", (), arr, None, requires_grad))
+        self.nodes.append(Node("leaf", (), None, arr.shape, None, requires_grad))
         return Tensor(arr, self, len(self.nodes) - 1)
 
     def tensor(self, node_id: int) -> "Tensor":
-        return Tensor(self.nodes[node_id].value, self, node_id)
+        node = self.nodes[node_id]
+        if node.value is None:
+            raise TapeError(f"node {node_id} ('{node.op}') kept no value on the tape")
+        return Tensor(node.value, self, node_id)
 
-    class _Paused:
-        def __init__(self, tape):
-            self.tape = tape
-
-        def __enter__(self):
-            self.prev = self.tape.recording
-            self.tape.recording = False
-
-        def __exit__(self, *exc):
-            self.tape.recording = self.prev
-
+    @contextmanager
     def paused(self):
         """Context manager: ops compute values but record nothing."""
-        return Tape._Paused(self)
-
-    def replay(self) -> list[np.ndarray]:
-        """Re-execute every forward record; used to check reproducibility."""
-        values: list[np.ndarray] = []
-        for node in self.nodes:
-            if node.op == "leaf":
-                values.append(node.value)
-            else:
-                values.append(_EVAL[node.op]([values[i] for i in node.inputs], node.ctx))
-        return values
+        prev, self.recording = self.recording, False
+        try:
+            yield
+        finally:
+            self.recording = prev
 
 
 class Tensor:
@@ -176,6 +172,11 @@ _VJP: dict[str, Callable] = {}
 _NO_FINITE_CHECK = {"reshape", "transpose", "gather", "broadcast_to", "relu", "abs", "neg",
                     "im2col", "pad", "crop"}
 
+# ops whose backward rule reads their own output
+_KEEP_OUTPUT = {"exp", "sqrt", "div", "relu"}
+# op -> positions of the inputs whose values its backward rule reads
+_KEEP_INPUTS = {"mul": (0, 1), "matmul": (0, 1), "div": (1,), "abs": (0,), "log": (0,)}
+
 
 def _check_finite(kind: str, arr: np.ndarray):
     if kind not in _NO_FINITE_CHECK and not np.isfinite(arr).all():
@@ -207,16 +208,20 @@ def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
     _check_finite(kind, out)
     if tape is None or not tape.recording:
         return Tensor(out)
+    nodes = tape.nodes
     ids = []
     requires_grad = False
     for x, v in zip(inputs, values):
         if isinstance(x, Tensor) and x.tape is tape and x.node is not None:
             ids.append(x.node)
-            requires_grad = requires_grad or tape.nodes[x.node].requires_grad
+            requires_grad = requires_grad or nodes[x.node].requires_grad
         else:
             ids.append(tape.leaf(v).node)
-    tape.nodes.append(Node(kind, tuple(ids), out, ctx, requires_grad))
-    return Tensor(out, tape, len(tape.nodes) - 1)
+    for i in _KEEP_INPUTS.get(kind, ()):
+        nodes[ids[i]].value = values[i]
+    nodes.append(Node(kind, tuple(ids), out if kind in _KEEP_OUTPUT else None, out.shape,
+                      ctx, requires_grad))
+    return Tensor(out, tape, len(nodes) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,34 +229,40 @@ def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _broadcast_shape(kind, a, b):
-    try:
-        return np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast") from None
+def _no_broadcast(kind, v) -> ShapeError:
+    """The error for operands whose broadcast NumPy refused with ValueError."""
+    return ShapeError(f"{kind}: shapes {v[0].shape} and {v[1].shape} do not broadcast")
 
 
 def _eval_add(v, ctx):
-    _broadcast_shape("add", v[0], v[1])
-    return v[0] + v[1]
+    try:
+        return v[0] + v[1]
+    except ValueError:
+        raise _no_broadcast("add", v) from None
 
 
 def _eval_sub(v, ctx):
-    _broadcast_shape("sub", v[0], v[1])
-    return v[0] - v[1]
+    try:
+        return v[0] - v[1]
+    except ValueError:
+        raise _no_broadcast("sub", v) from None
 
 
 def _eval_mul(v, ctx):
-    _broadcast_shape("mul", v[0], v[1])
-    return v[0] * v[1]
+    try:
+        return v[0] * v[1]
+    except ValueError:
+        raise _no_broadcast("mul", v) from None
 
 
 def _eval_div(v, ctx):
-    a, b = v
-    _broadcast_shape("div", a, b)
-    if np.abs(b).min() < 1e-300:
+    try:
+        out = v[0] / v[1]
+    except ValueError:
+        raise _no_broadcast("div", v) from None
+    if np.abs(v[1]).min() < 1e-300:
         raise EngineError("degenerate divisor")
-    return a / b
+    return out
 
 
 _EVAL["add"] = _eval_add
@@ -276,19 +287,21 @@ def _in(tape, node, i) -> Tensor:
     return tape.tensor(node.inputs[i])
 
 
+def _in_shape(tape, node, i) -> tuple[int, ...]:
+    return tape.nodes[node.inputs[i]].shape
+
+
 def _vjp_add(tape, node, out_id, g, needs):
-    a, b = tape.nodes[node.inputs[0]].value, tape.nodes[node.inputs[1]].value
     return [
-        _sum_to(g, a.shape) if needs[0] else None,
-        _sum_to(g, b.shape) if needs[1] else None,
+        _sum_to(g, _in_shape(tape, node, 0)) if needs[0] else None,
+        _sum_to(g, _in_shape(tape, node, 1)) if needs[1] else None,
     ]
 
 
 def _vjp_sub(tape, node, out_id, g, needs):
-    a, b = tape.nodes[node.inputs[0]].value, tape.nodes[node.inputs[1]].value
     return [
-        _sum_to(g, a.shape) if needs[0] else None,
-        _sum_to(neg(g), b.shape) if needs[1] else None,
+        _sum_to(g, _in_shape(tape, node, 0)) if needs[0] else None,
+        _sum_to(neg(g), _in_shape(tape, node, 1)) if needs[1] else None,
     ]
 
 
@@ -301,10 +314,9 @@ def _vjp_mul(tape, node, out_id, g, needs):
 
 
 def _vjp_div(tape, node, out_id, g, needs):
-    a, b = _in(tape, node, 0), _in(tape, node, 1)
-    out = tape.tensor(out_id)
+    b, out = _in(tape, node, 1), tape.tensor(out_id)
     return [
-        _sum_to(div(g, b), a.shape) if needs[0] else None,
+        _sum_to(div(g, b), _in_shape(tape, node, 0)) if needs[0] else None,
         _sum_to(neg(div(mul(g, out), b)), b.shape) if needs[1] else None,
     ]
 
@@ -371,7 +383,8 @@ _EVAL["sqrt"] = _eval_sqrt
 
 
 def _vjp_relu(tape, node, out_id, g, needs):
-    mask = (tape.nodes[node.inputs[0]].value > 0.0).astype(np.float64)
+    # for finite x, max(x, 0) > 0 exactly when x > 0
+    mask = (tape.nodes[out_id].value > 0.0).astype(np.float64)
     return [mul(g, mask)]
 
 
@@ -475,7 +488,7 @@ _EVAL["matmul"] = _eval_matmul
 
 
 def _vjp_reshape(tape, node, out_id, g, needs):
-    return [reshape(g, tape.nodes[node.inputs[0]].value.shape)]
+    return [reshape(g, _in_shape(tape, node, 0))]
 
 
 def _vjp_transpose(tape, node, out_id, g, needs):
@@ -484,21 +497,19 @@ def _vjp_transpose(tape, node, out_id, g, needs):
 
 
 def _vjp_broadcast(tape, node, out_id, g, needs):
-    return [_sum_to(g, tape.nodes[node.inputs[0]].value.shape)]
+    return [_sum_to(g, _in_shape(tape, node, 0))]
 
 
 def _vjp_gather(tape, node, out_id, g, needs):
-    in_shape = tape.nodes[node.inputs[0]].value.shape
-    return [scatter_add(g, node.ctx["idx"], in_shape)]
+    return [scatter_add(g, node.ctx["idx"], _in_shape(tape, node, 0))]
 
 
 def _vjp_scatter_add(tape, node, out_id, g, needs):
-    src_shape = tape.nodes[node.inputs[0]].value.shape
-    return [reshape(gather(g, node.ctx["idx"]), src_shape)]
+    return [reshape(gather(g, node.ctx["idx"]), _in_shape(tape, node, 0))]
 
 
 def _vjp_sum(tape, node, out_id, g, needs):
-    in_shape = tape.nodes[node.inputs[0]].value.shape
+    in_shape = _in_shape(tape, node, 0)
     axes, keepdims = node.ctx["axes"], node.ctx["keepdims"]
     if axes is None:
         kd_shape = (1,) * len(in_shape)
@@ -800,8 +811,7 @@ def backward(out: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> 
 
     results: dict[int, Tensor] = {}
     if needed[limit]:
-        guard = tape.paused() if not create_graph else _NullCtx()
-        with guard:
+        with nullcontext() if create_graph else tape.paused():
             seed = np.ones(out.shape)
             grads: dict[int, Tensor] = {limit: tape.leaf(seed) if create_graph else Tensor(seed)}
             for nid in range(limit, -1, -1):
@@ -830,14 +840,6 @@ def backward(out: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> 
         got = results.get(t.node)
         out_list.append(got if got is not None else _zero(t))
     return out_list
-
-
-class _NullCtx:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -183,23 +183,30 @@ def evaluate(
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]
         images, labels = _batch_arrays(chunk)
-        if with_corr:
-            tape = Tape()
-            trace = forward(spec, params, images, tape)
-            amap = attribution(trace, tap, method, create_graph=False)
-            reduced = reduce_channels(amap, strategy).data
-            priors = batch_priors(chunk, reduced.shape[2:], sigma)
-            for i in range(len(chunk)):
-                per_channel = [pearson(reduced[i, c], priors[i]) for c in range(reduced.shape[1])]
-                corrs.append(float(np.mean(per_channel)))
-        else:
-            trace = forward(spec, params, images)
-        preds = predictions(trace.logits)
+        preds, chunk_corrs = _evaluate_chunk(
+            spec, params, chunk, images, tap, method, strategy, sigma, with_corr
+        )
+        corrs.extend(chunk_corrs)
         correct += int((preds == labels).sum())
         for t, p in zip(labels, preds):
             confusion[t, p] += 1
     acc = correct / len(samples)
     return acc, confusion, float(np.mean(corrs)) if corrs else 0.0
+
+
+def _evaluate_chunk(spec, params, chunk, images, tap, method, strategy, sigma, with_corr):
+    """Predictions and per-sample correlations of one chunk; its tape dies on return."""
+    if not with_corr:
+        return predictions(forward(spec, params, images).logits), []
+    trace = forward(spec, params, images, Tape())
+    amap = attribution(trace, tap, method, create_graph=False)
+    reduced = reduce_channels(amap, strategy).data
+    priors = batch_priors(chunk, reduced.shape[2:], sigma)
+    corrs = [
+        float(np.mean([pearson(reduced[i, c], priors[i]) for c in range(reduced.shape[1])]))
+        for i in range(len(chunk))
+    ]
+    return predictions(trace.logits), corrs
 
 
 def accuracy(spec: ModelSpec, params: dict, samples: list, batch_size: int = 64) -> float:
@@ -240,6 +247,22 @@ def _epoch_order(labels: np.ndarray, rng: np.random.Generator, balanced: bool) -
 # ---------------------------------------------------------------------------
 # the training loop
 # ---------------------------------------------------------------------------
+
+
+def _loss_and_grads(spec, params, images, labels, priors, config, strategy):
+    """One step's (ce, pal, total) floats and parameter gradients.
+
+    The step's tape lives only inside this call, so it is freed before the
+    next batch is built.
+    """
+    breakdown, trace = training_loss(
+        spec, params, images, labels, priors,
+        config.tap, config.method, strategy, config.pal_weight,
+    )
+    names = sorted(trace.params)
+    grad_list = ad.backward(breakdown.tensor, [trace.params[k] for k in names])
+    grads = {k: g.data for k, g in zip(names, grad_list)}
+    return (breakdown.ce, breakdown.pal, breakdown.total), grads
 
 
 def train(config: TrainConfig, out_dir: str) -> RunRecord:
@@ -311,20 +334,15 @@ def train(config: TrainConfig, out_dir: str) -> RunRecord:
                 priors = (
                     batch_priors(chunk, tap_hw, config.sigma) if config.uses_pal else None
                 )
-                breakdown, trace = training_loss(
-                    spec, params, images, labels, priors,
-                    config.tap, config.method, strategy, config.pal_weight,
+                (ce, pal, total), grads = _loss_and_grads(
+                    spec, params, images, labels, priors, config, strategy
                 )
-                names = sorted(trace.params)
-                grad_list = ad.backward(breakdown.tensor, [trace.params[k] for k in names])
-                grads = {k: g.data for k, g in zip(names, grad_list)}
                 lr_t = poly_decay(config.lr, step, total_steps, config.decay_power)
                 params = adam_step(params, grads, state, lr_t)
                 record.steps.append(
-                    {"step": step, "ce": breakdown.ce, "pal": breakdown.pal,
-                     "total": breakdown.total, "lr": lr_t}
+                    {"step": step, "ce": ce, "pal": pal, "total": total, "lr": lr_t}
                 )
-                emit(step, ce=breakdown.ce, pal=breakdown.pal, total=breakdown.total)
+                emit(step, ce=ce, pal=pal, total=total)
                 step += 1
 
             val_acc = accuracy(spec, params, val_samples)

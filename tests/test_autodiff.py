@@ -332,12 +332,6 @@ def test_determinism_bit_identical():
     assert len(tape_a) == len(tape_b)
 
 
-def test_replay_reproduces_bit_identical_values():
-    tape, _, _ = _forward_backward_episode(9)
-    for node, value in zip(tape.nodes, tape.replay()):
-        assert np.array_equal(node.value, value)
-
-
 def test_tape_monotonic_growth_and_fresh_start():
     tape = Tape()
     counts = [len(tape)]
@@ -356,6 +350,16 @@ def test_mixed_tapes_rejected():
     b = Tape().leaf([2.0], requires_grad=True)
     with pytest.raises(TapeError):
         ad.add(a, b)
+
+
+def test_value_not_kept_on_tape_raises_named_error():
+    tape = Tape()
+    a = tracked(tape, RNG.normal(size=(2, 3)))
+    b = tracked(tape, RNG.normal(size=(3, 4)))
+    out = ad.matmul(a, b)
+    with pytest.raises(TapeError, match=rf"node {out.node} \('matmul'\)"):
+        tape.tensor(out.node)
+    npt.assert_array_equal(tape.tensor(a.node).data, a.data)  # matmul reads its inputs
 
 
 def test_paused_recording_returns_untracked():

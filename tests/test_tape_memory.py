@@ -1,0 +1,73 @@
+"""What the tape keeps alive: only the values backward rules read, and only
+for one training step at a time."""
+
+import tracemalloc
+
+import numpy as np
+
+from palnet import autodiff as ad
+from palnet.attribution import GRAD_INPUT, ChannelStrategy, attribution
+from palnet.autodiff import Tape
+from palnet.data import generate_dataset, manifest_path
+from palnet.model import forward, init_params, softmax_cross_entropy, toy64
+from palnet.train import TrainConfig, train, training_loss
+
+
+def _conv_block_nodes(tape, relu_id):
+    """Walk back from a block's relu: bias add, output transpose and reshape,
+    matmul, im2col, pad."""
+    named = {"relu": tape.nodes[relu_id]}
+    nid = relu_id
+    for op in ("add", "transpose", "reshape", "matmul", "im2col", "pad"):
+        nid = tape.nodes[nid].inputs[0]
+        assert tape.nodes[nid].op == op
+        named[op] = tape.nodes[nid]
+    return named
+
+
+def test_tape_keeps_only_values_backward_reads():
+    spec = toy64()
+    rng = np.random.default_rng(0)
+    tape = Tape()
+    trace = forward(spec, init_params(spec, 0), rng.uniform(size=(2, 1, 64, 64)), tape)
+    softmax_cross_entropy(trace.logits, np.array([0, 3]))
+    attribution(trace, "relu1", GRAD_INPUT, create_graph=True)
+    for name in spec.tap_names():
+        block = _conv_block_nodes(tape, trace.taps[name].node)
+        for op in ("matmul", "add", "pad", "reshape", "transpose"):
+            assert block[op].value is None, f"{name}: {op} output kept"
+        for op in ("relu", "im2col"):
+            assert block[op].value is not None, f"{name}: {op} output dropped"
+        assert block["matmul"].shape == (2 * block["relu"].shape[2] * block["relu"].shape[3],
+                                         block["relu"].shape[1])
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_holds_one_step_tape_at_a_time(tmp_path):
+    root = str(tmp_path / "ds")
+    generate_dataset(root, seed=2, n=42, split="train")
+    generate_dataset(root, seed=2, n=7, split="test")
+    config = TrainConfig(train_manifest=manifest_path(root, "train"),
+                         test_manifest=manifest_path(root, "test"),
+                         method="none", batch_size=16, epochs=1, augment=False)
+    spec = toy64()
+    params = init_params(spec, 0)
+    images = np.random.default_rng(0).uniform(size=(16, 1, 64, 64))
+    labels = np.arange(16) % spec.n_classes
+
+    def one_step():
+        breakdown, trace = training_loss(spec, params, images, labels, None, "relu4", "none",
+                                         ChannelStrategy("all"), 1.0)
+        ad.backward(breakdown.tensor, list(trace.params.values()))
+
+    step_peak = _peak_bytes(one_step)
+    train_peak = _peak_bytes(lambda: train(config, str(tmp_path / "run")))
+    assert train_peak <= 1.2 * step_peak, (train_peak / 2**20, step_peak / 2**20)
