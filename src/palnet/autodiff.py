@@ -235,8 +235,11 @@ def _no_broadcast(kind, v) -> ShapeError:
 
 
 def _eval_add(v, ctx):
+    # C order whatever the operands' layouts: conv2d's bias add then hands
+    # relu, the relu VJP's mask and max-pool's gather contiguous memory, not
+    # the transposed matmul result
     try:
-        return v[0] + v[1]
+        return np.add(v[0], v[1], order="C")
     except ValueError:
         raise _no_broadcast("add", v) from None
 
@@ -330,13 +333,6 @@ _VJP["sub"] = _vjp_sub
 _VJP["mul"] = _vjp_mul
 _VJP["div"] = _vjp_div
 _VJP["neg"] = _vjp_neg
-
-
-def elementwise(op_kind: str, a, b) -> Tensor:
-    """Broadcasted add/sub/mul/div, dispatched by name."""
-    if op_kind not in ("add", "sub", "mul", "div"):
-        raise EngineError(f"unknown elementwise op '{op_kind}'")
-    return _apply(op_kind, [a, b])
 
 
 def add(a, b) -> Tensor:
@@ -580,15 +576,6 @@ def reduce_mean(x, axes=None, keepdims=False) -> Tensor:
         ax = (axes,) if isinstance(axes, int) else axes
         n = int(np.prod([arr.shape[a % arr.ndim] for a in ax]))
     return mul(reduce_sum(x, axes, keepdims), 1.0 / n)
-
-
-def reduce(x, axes, kind: str) -> Tensor:
-    """Sum or mean over the given axes."""
-    if kind == "sum":
-        return reduce_sum(x, axes)
-    if kind == "mean":
-        return reduce_mean(x, axes)
-    raise EngineError(f"unknown reduction '{kind}'")
 
 
 def matmul(a, b) -> Tensor:

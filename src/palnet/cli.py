@@ -99,30 +99,24 @@ def cmd_attribute(args) -> int:
     images = np.stack([s.image for s in samples])[:, None, :, :]
     strategy = ChannelStrategy.parse(args.strategy)
 
-    tape = Tape()
-    trace = forward(spec, params, images, tape)
+    # the attribution's backward reads nothing before the layer, so record from there
+    trace = forward(spec, params, images, Tape(), grad_from=args.layer)
     amap = attribution(trace, args.layer, args.method, create_graph=False)
-    written = []
     if strategy.kind == "mean_of_half":
         c = amap.values.shape[1]
         keep = strategy.constrained(c)
-        halves = (
-            (f"{strategy.label()}-constrained", channel_slice_mean(amap.values, 0, keep)),
-            (f"{strategy.label()}-free", channel_slice_mean(amap.values, keep, c)),
-        )
-        for label, reduced in halves:
-            for row, idx in enumerate(indices):
-                written.append(export_map_pgm(
-                    args.out, f"sample{idx:05d}", args.layer, args.method,
-                    label, reduced.data[row, 0]))
+        maps = ((f"{strategy.label()}-constrained", channel_slice_mean(amap.values, 0, keep)),
+                (f"{strategy.label()}-free", channel_slice_mean(amap.values, keep, c)))
     else:
-        reduced = reduce_channels(amap, strategy)
+        maps = ((strategy.label(), reduce_channels(amap, strategy)),)
+    written = []
+    for label, reduced in maps:
         for row, idx in enumerate(indices):
             for ch in range(reduced.shape[1]):
-                label = strategy.label() if reduced.shape[1] == 1 else f"{strategy.label()}-c{ch:02d}"
+                name = label if reduced.shape[1] == 1 else f"{label}-c{ch:02d}"
                 written.append(export_map_pgm(
                     args.out, f"sample{idx:05d}", args.layer, args.method,
-                    label, reduced.data[row, ch]))
+                    name, reduced.data[row, ch]))
     for path in written:
         print(path)
     return 0

@@ -196,17 +196,28 @@ def init_params(spec: ModelSpec, seed: int) -> Parameters:
 class ForwardTrace:
     logits: Tensor
     taps: dict = field(default_factory=dict)          # tap name -> post-relu Tensor
-    params: dict = field(default_factory=dict)        # name -> tracked leaf Tensor
+    params: dict = field(default_factory=dict)        # name -> leaf; untracked with grad_from
 
 
-def forward(spec: ModelSpec, params: Parameters, batch, tape: Tape | None = None) -> ForwardTrace:
-    """Run the classifier; taps hold the exact tensors used downstream."""
+def forward(spec: ModelSpec, params: Parameters, batch, tape: Tape | None = None,
+            grad_from: str | None = None) -> ForwardTrace:
+    """Run the classifier; taps hold the exact tensors used downstream.
+
+    With `grad_from` naming a tap, `tape` records only from that tap to the
+    logits, which is all a backward from the logits to the tap reads: the
+    blocks up to the tap run untracked, the tap enters the tape as a leaf that
+    requires grad, later parameters enter as constants, and earlier taps are
+    not kept.  The values are those of the fully recorded forward, bit for bit.
+    """
     batch_arr = batch.data if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
     c, h, w = spec.in_shape
     if batch_arr.ndim != 4 or batch_arr.shape[1:] != (c, h, w):
         raise ModelError(f"batch shape {batch_arr.shape} does not match input {(c, h, w)}")
+    if grad_from is not None and grad_from not in spec.tap_names():
+        raise ModelError(f"'{grad_from}' is not a tap of '{spec.name}' "
+                         f"(have: {spec.tap_names()})")
 
-    if tape is not None:
+    if tape is not None and grad_from is None:
         leaves = {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
         x = tape.leaf(batch_arr)
     else:
@@ -219,7 +230,11 @@ def forward(spec: ModelSpec, params: Parameters, batch, tape: Tape | None = None
         bias = leaves.get(f"{name}.bias")
         x = ad.conv2d(x, leaves[f"{name}.weight"], bias, stride=blk.stride, padding=blk.padding)
         x = ad.relu(x)
-        taps[f"relu{i + 1}"] = x
+        tap = f"relu{i + 1}"
+        if tap == grad_from and tape is not None:
+            x = tape.leaf(x.data, requires_grad=True)
+        if x.tracked or tape is None:
+            taps[tap] = x
         if blk.pool:
             x = ad.maxpool2d(x, blk.pool, blk.pool)
 

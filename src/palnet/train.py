@@ -180,13 +180,14 @@ def evaluate(
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     correct = 0
     corrs: list[float] = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
-        images, labels = _batch_arrays(chunk)
-        preds, chunk_corrs = _evaluate_chunk(
-            spec, params, chunk, images, tap, method, strategy, sigma, with_corr
-        )
-        corrs.extend(chunk_corrs)
+    for chunk, images, labels in _chunks(samples, batch_size):
+        if with_corr:
+            preds, chunk_corrs = _evaluate_chunk(
+                spec, params, chunk, images, tap, method, strategy, sigma
+            )
+            corrs.extend(chunk_corrs)
+        else:
+            preds = _predict(spec, params, images)
         correct += int((preds == labels).sum())
         for t, p in zip(labels, preds):
             confusion[t, p] += 1
@@ -194,11 +195,24 @@ def evaluate(
     return acc, confusion, float(np.mean(corrs)) if corrs else 0.0
 
 
-def _evaluate_chunk(spec, params, chunk, images, tap, method, strategy, sigma, with_corr):
-    """Predictions and per-sample correlations of one chunk; its tape dies on return."""
-    if not with_corr:
-        return predictions(forward(spec, params, images).logits), []
-    trace = forward(spec, params, images, Tape())
+def _chunks(samples: list, batch_size: int):
+    """(samples, images, labels) of consecutive chunks of at most batch_size."""
+    for start in range(0, len(samples), batch_size):
+        chunk = samples[start : start + batch_size]
+        yield (chunk, *_batch_arrays(chunk))
+
+
+def _predict(spec, params, images) -> np.ndarray:
+    return predictions(forward(spec, params, images).logits)
+
+
+def _evaluate_chunk(spec, params, chunk, images, tap, method, strategy, sigma):
+    """Predictions and per-sample correlations of one chunk; its tape dies on return.
+
+    The tape records only from the tap to the logits: the attribution's
+    backward reads nothing before the tap.
+    """
+    trace = forward(spec, params, images, Tape(), grad_from=tap)
     amap = attribution(trace, tap, method, create_graph=False)
     reduced = reduce_channels(amap, strategy).data
     priors = batch_priors(chunk, reduced.shape[2:], sigma)
@@ -210,10 +224,10 @@ def _evaluate_chunk(spec, params, chunk, images, tap, method, strategy, sigma, w
 
 
 def accuracy(spec: ModelSpec, params: dict, samples: list, batch_size: int = 64) -> float:
-    acc, _, _ = evaluate(spec, params, samples, tap="", method=GRAD,
-                         strategy=ChannelStrategy("all"), sigma=3.0,
-                         batch_size=batch_size, with_corr=False)
-    return acc
+    """Top-1 accuracy from untracked forward passes."""
+    correct = sum(int((_predict(spec, params, images) == labels).sum())
+                  for _, images, labels in _chunks(samples, batch_size))
+    return correct / len(samples)
 
 
 def stratified_split(labels: np.ndarray, fraction: float, rng: np.random.Generator):

@@ -101,7 +101,8 @@ def assert_same_bits(got, want):
 
 
 def channels_last(x):
-    """Same values as x, laid out NHWC in memory (what conv2d's bias add returns)."""
+    """Same values as x, laid out NHWC in memory (the transposed matmul result that
+    conv2d returns when it has no bias)."""
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
@@ -225,6 +226,23 @@ def test_index_tables_do_not_depend_on_batch_size():
     for n in (1, 3, 8):
         ad.conv2d(np.ones((n, 2, 6, 6)), np.ones((1, 2, 3, 3)), padding=1)
     assert ad._im2col_indices.cache_info().currsize == 1
+
+
+def test_conv_block_outputs_are_c_contiguous():
+    # the bias add writes C order, so relu, the relu VJP's mask and max-pool's
+    # gather read contiguous memory, not the transposed matmul result
+    rng = np.random.default_rng(14)
+    tape = Tape()
+    x = tape.leaf(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
+    w, b = (tape.leaf(v, requires_grad=True) for v in (rng.normal(size=(3, 2, 3, 3)),
+                                                      rng.normal(size=3)))
+    out = ad.conv2d(x, w, b, padding=1)
+    act = ad.relu(out)
+    pooled = ad.maxpool2d(act, 2, 2)
+    for t in (out, act, pooled):
+        assert t.data.flags.c_contiguous
+    (g,) = ad.backward(ad.reduce_sum(ad.mul(pooled, pooled)), [out])
+    assert g.data.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""What the tape keeps alive: only the values backward rules read, and only
-for one training step at a time."""
+"""What the tape keeps alive: only the values backward rules read, only for
+one training step at a time, and in evaluation only the tap-to-logits tail."""
 
 import tracemalloc
 
@@ -8,9 +8,9 @@ import numpy as np
 from palnet import autodiff as ad
 from palnet.attribution import GRAD_INPUT, ChannelStrategy, attribution
 from palnet.autodiff import Tape
-from palnet.data import generate_dataset, manifest_path
+from palnet.data import LandmarkSet, Sample, generate_dataset, manifest_path
 from palnet.model import forward, init_params, softmax_cross_entropy, toy64
-from palnet.train import TrainConfig, train, training_loss
+from palnet.train import TrainConfig, evaluate, train, training_loss
 
 
 def _conv_block_nodes(tape, relu_id):
@@ -71,3 +71,20 @@ def test_train_holds_one_step_tape_at_a_time(tmp_path):
     step_peak = _peak_bytes(one_step)
     train_peak = _peak_bytes(lambda: train(config, str(tmp_path / "run")))
     assert train_peak <= 1.2 * step_peak, (train_peak / 2**20, step_peak / 2**20)
+
+
+def test_evaluate_with_attribution_peaks_like_an_untracked_forward():
+    # the attribution's backward runs from the logits to relu4, so evaluation
+    # records only that tail; recording the whole stack kept every conv's
+    # im2col columns and every relu output, about 1.8x the forward's peak
+    spec = toy64()
+    params = init_params(spec, 0)
+    rng = np.random.default_rng(0)
+    samples = [Sample(rng.uniform(size=(64, 64)), LandmarkSet(rng.uniform(8.0, 56.0, size=(5, 2))),
+                      i % spec.n_classes) for i in range(64)]
+    images = np.stack([s.image for s in samples])[:, None, :, :]
+
+    forward_peak = _peak_bytes(lambda: forward(spec, params, images))
+    eval_peak = _peak_bytes(lambda: evaluate(spec, params, samples, "relu4", GRAD_INPUT,
+                                             ChannelStrategy.parse("mean_of_half"), 3.0))
+    assert eval_peak <= 1.1 * forward_peak, (eval_peak / 2**20, forward_peak / 2**20)
