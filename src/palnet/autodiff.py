@@ -178,22 +178,6 @@ _KEEP_OUTPUT = {"exp", "sqrt", "div", "relu"}
 _KEEP_INPUTS = {"mul": (0, 1), "matmul": (0, 1), "div": (1,), "abs": (0,), "log": (0,)}
 
 
-def _check_finite(kind: str, arr: np.ndarray):
-    if kind not in _NO_FINITE_CHECK and not np.isfinite(arr).all():
-        raise NonFiniteError(f"op '{kind}' produced non-finite values")
-
-
-def _find_tape(inputs) -> Tape | None:
-    tape = None
-    for x in inputs:
-        if isinstance(x, Tensor) and x.tape is not None:
-            if tape is None:
-                tape = x.tape
-            elif tape is not x.tape:
-                raise TapeError("operands live on different tapes")
-    return tape
-
-
 def _value(x) -> np.ndarray:
     if isinstance(x, Tensor):
         return x.data
@@ -201,11 +185,27 @@ def _value(x) -> np.ndarray:
 
 
 def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
-    tape = _find_tape(inputs)
-    values = [_value(x) for x in inputs]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # one pass finds the operands' tape and collects their values
+    tape = None
+    values = []
+    for x in inputs:
+        if isinstance(x, Tensor):
+            if x.tape is not None:
+                if tape is None:
+                    tape = x.tape
+                elif tape is not x.tape:
+                    raise TapeError("operands live on different tapes")
+            values.append(x.data)
+        else:
+            values.append(np.asarray(x, dtype=np.float64))
+    if kind in _NO_FINITE_CHECK:
+        # data movement raises no floating-point warning on NaN/Inf operands
         out = _EVAL[kind](values, ctx)
-    _check_finite(kind, out)
+    else:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = _EVAL[kind](values, ctx)
+        if not np.isfinite(out).all():
+            raise NonFiniteError(f"op '{kind}' produced non-finite values")
     if tape is None or not tape.recording:
         return Tensor(out)
     nodes = tape.nodes

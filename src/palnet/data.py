@@ -82,29 +82,31 @@ def _canonical_keypoints(height: int, width: int, count: int) -> np.ndarray:
     return rel * np.array([width - 1, height - 1])
 
 
-def _stamp_bar(canvas: np.ndarray, cx: float, cy: float, angle_deg: float,
-               doubled: bool = False) -> None:
-    """Draw a soft-edged oriented bar (or two parallel ones) in a PATCH box."""
-    h, w = canvas.shape
-    half = PATCH // 2
-    i0, i1 = max(int(round(cy)) - half, 0), min(int(round(cy)) + half + 1, h)
-    j0, j1 = max(int(round(cx)) - half, 0), min(int(round(cx)) + half + 1, w)
-    if i0 >= i1 or j0 >= j1:
-        return
-    ii, jj = np.meshgrid(np.arange(i0, i1), np.arange(j0, j1), indexing="ij")
-    t = np.deg2rad(angle_deg)
+def _stamp_bars(canvas: np.ndarray, bars) -> None:
+    """Draw soft-edged oriented bars, each in a PATCH box, in one pass.
+
+    `bars` holds one (cx, cy, angle in degrees, across offset) row per bar; a
+    doubled bar is two rows with offsets -2 and 2.  Pixels outside the canvas
+    are dropped, and overlapping bars keep their per-pixel maximum.
+    """
+    cx, cy, angle, off = np.array(bars, dtype=np.float64).T[:, :, None, None]
+    steps = np.arange(PATCH, dtype=np.float64) - PATCH // 2
+    ii = np.rint(cy) + steps[:, None]  # (n, PATCH, 1) canvas rows
+    jj = np.rint(cx) + steps  # (n, 1, PATCH) canvas columns
+    t = np.deg2rad(angle)
+    cos, sin = np.cos(t), np.sin(t)
     dx, dy = jj - cx, ii - cy
-    along = dx * np.cos(t) + dy * np.sin(t)
-    across = -dx * np.sin(t) + dy * np.cos(t)
-    offsets = (-2.0, 2.0) if doubled else (0.0,)
-    region = canvas[i0:i1, j0:j1]
-    for off in offsets:
-        profile = (
-            BAR_GAIN
-            * np.exp(-(((across - off) / BAR_WIDTH) ** 2))
-            * (np.abs(along) <= BAR_HALF_LEN)
-        )
-        np.maximum(region, profile, out=region)
+    along = dx * cos + dy * sin
+    across = -dx * sin + dy * cos
+    profile = (
+        BAR_GAIN
+        * np.exp(-(((across - off) / BAR_WIDTH) ** 2))
+        * (np.abs(along) <= BAR_HALF_LEN)
+    )
+    h, w = canvas.shape
+    inside = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
+    pixels = (ii * w + jj).astype(np.intp)
+    np.maximum.at(canvas.reshape(-1), pixels[inside], profile[inside])
 
 
 def _class_pattern(label: int) -> tuple[float, float, bool]:
@@ -130,15 +132,12 @@ def render_sample(seed: int, index: int, label: int, n_classes: int,
     points[:, 0] = np.clip(points[:, 0], 0, width - 1)
     points[:, 1] = np.clip(points[:, 1], 0, height - 1)
 
-    canvas = np.zeros((height, width))
     eye_angle, mouth_angle, doubled = _class_pattern(label)
-    for k in (0, 1):
-        _stamp_bar(canvas, points[k, 0], points[k, 1], eye_angle, doubled=doubled)
-    for k in (3, 4):
-        _stamp_bar(canvas, points[k, 0], points[k, 1], mouth_angle)
+    eye_offsets = (-2.0, 2.0) if doubled else (0.0,)
+    bars = [(x, y, eye_angle, off) for x, y in points[:2] for off in eye_offsets]
+    bars += [(x, y, mouth_angle, 0.0) for x, y in points[3:5]]
     # class-independent cross at the nose keeps the prior honest there
-    _stamp_bar(canvas, points[2, 0], points[2, 1], 0.0)
-    _stamp_bar(canvas, points[2, 0], points[2, 1], 90.0)
+    bars += [(*points[2], 0.0, 0.0), (*points[2], 90.0, 0.0)]
 
     n_distract = int(rng.integers(6, 11))
     placed = 0
@@ -150,9 +149,11 @@ def render_sample(seed: int, index: int, label: int, n_classes: int,
         gap = np.hypot(points[:, 0] - dx, points[:, 1] - dy).min()
         if gap < MIN_DISTRACTOR_GAP:
             continue
-        _stamp_bar(canvas, dx, dy, float(rng.uniform(0.0, 180.0)))
+        bars.append((dx, dy, float(rng.uniform(0.0, 180.0)), 0.0))
         placed += 1
 
+    canvas = np.zeros((height, width))
+    _stamp_bars(canvas, bars)
     canvas = np.clip(canvas + rng.normal(0.0, NOISE_STD, size=canvas.shape), 0.0, 1.0)
     return Sample(canvas, LandmarkSet(points), label)
 

@@ -1,4 +1,4 @@
-"""Landmark heatmap priors: rasterization, Gaussian rendering, standardization.
+"""Landmark heatmap priors: Gaussian rendering, standardization.
 
 The Gaussian map is evaluated in closed form at every pixel (supports
 sub-pixel landmark coordinates); the 1-D normalization constant 1/sqrt(2*pi*s^2)
@@ -49,16 +49,6 @@ class PriorHeatmap:
     @property
     def resolution(self) -> tuple[int, int]:
         return self.values.shape
-
-
-def rasterize_landmarks(lms: LandmarkSet, height: int, width: int) -> PriorHeatmap:
-    """Unit impulse per landmark at the nearest pixel; coincident points add up."""
-    values = np.zeros((height, width))
-    for x, y in lms.points:
-        j = min(max(int(round(x)), 0), width - 1)
-        i = min(max(int(round(y)), 0), height - 1)
-        values[i, j] += 1.0
-    return PriorHeatmap(values)
 
 
 def gaussian_heatmap(lms: LandmarkSet, height: int, width: int, sigma: float = 3.0) -> PriorHeatmap:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -91,25 +91,6 @@ class ModelSpec:
         if self.bias:
             total += self.n_classes
         return total
-
-
-def spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "name": spec.name,
-        "in_shape": list(spec.in_shape),
-        "blocks": [
-            {
-                "out_channels": b.out_channels,
-                "kernel": b.kernel,
-                "stride": b.stride,
-                "padding": b.padding,
-                "pool": b.pool,
-            }
-            for b in spec.blocks
-        ],
-        "n_classes": spec.n_classes,
-        "bias": spec.bias,
-    }
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
@@ -280,14 +261,17 @@ def save_checkpoint(path: str, spec: ModelSpec, params: Parameters) -> None:
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         blobs.append(arr.tobytes())
         offset += arr.nbytes
-    header = json.dumps({"spec": spec_to_dict(spec), "entries": entries}).encode()
+    header = json.dumps({"spec": asdict(spec), "entries": entries}).encode()
+    write_atomic(path, [header, b"\n", *blobs])
+
+
+def write_atomic(path: str, chunks: list[bytes]) -> None:
+    """Write byte chunks to a temp file beside `path`, then rename it over `path`."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(header + b"\n")
-            for blob in blobs:
-                fh.write(blob)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

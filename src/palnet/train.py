@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import os
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -41,6 +40,7 @@ from .model import (
     predictions,
     save_checkpoint,
     softmax_cross_entropy,
+    write_atomic,
 )
 from .optim import adam_step, init_adam, poly_decay
 from .seeding import stream
@@ -380,18 +380,5 @@ def train(config: TrainConfig, out_dir: str) -> RunRecord:
         record.wall_s = time.perf_counter() - t_start
         emit("final", test_acc=record.test_acc, attr_prior_corr=record.test_corr)
 
-    _write_json_atomic(os.path.join(out_dir, "run.json"), asdict(record))
+    write_atomic(os.path.join(out_dir, "run.json"), [json.dumps(asdict(record), indent=1).encode()])
     return record
-
-
-def _write_json_atomic(path: str, payload: dict) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -1,6 +1,8 @@
 """Engine-level checks: op semantics, gradients vs finite differences,
 second-order correctness, and tape invariants."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -300,6 +302,43 @@ def test_non_finite_is_an_error():
         ad.log(np.array([-1.0]))
     with pytest.raises(NonFiniteError):
         Tape().leaf(np.array([np.nan]))
+
+
+def test_overflow_raises_named_error_without_runtime_warning():
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")  # a RuntimeWarning would surface as itself
+        with pytest.raises(NonFiniteError, match="op 'exp'"):
+            ad.exp(np.array([1e3]))
+        with pytest.raises(NonFiniteError, match="op 'mul'"):
+            ad.mul(np.array([1e200]), np.array([1e200]))
+
+
+# every op exempt from the finite check, applied to a (4, 1, n, n) batch
+_DATA_MOVEMENT = {
+    "reshape": lambda x: ad.reshape(x, (-1,)),
+    "transpose": lambda x: ad.transpose(x, (0, 1, 3, 2)),
+    "gather": lambda x: ad.gather(x, np.arange(x.size).reshape(x.shape)[..., ::-1]),
+    "broadcast_to": lambda x: ad.broadcast_to(x[:, :, :1], (4, 1, 5, x.shape[3])),
+    "relu": ad.relu,
+    "abs": ad.absolute,
+    "neg": ad.neg,
+    "im2col": lambda x: ad.im2col(np.ascontiguousarray(x), 3, 1),
+    "pad": lambda x: ad.pad(x, 2),
+    "crop": lambda x: ad.crop(x, 1),
+}
+
+
+@pytest.mark.parametrize("n", [3, 7, 33])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_data_movement_ops_raise_no_fp_error_on_non_finite_operands(n, bad):
+    # these ops run outside np.errstate: they must not even set a flag
+    assert set(_DATA_MOVEMENT) == ad._NO_FINITE_CHECK
+    x = np.linspace(-3.0, 3.0, 4 * n * n).reshape(4, 1, n, n)
+    x.flat[::3] = bad
+    for layout in (x, x.transpose(0, 1, 3, 2)):
+        for kind, fn in _DATA_MOVEMENT.items():
+            with np.errstate(all="raise"):
+                fn(layout)
 
 
 # ---------------------------------------------------------------------------

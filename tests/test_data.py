@@ -10,6 +10,10 @@ import numpy.testing as npt
 import pytest
 
 from palnet.data import (
+    BAR_GAIN,
+    BAR_HALF_LEN,
+    BAR_WIDTH,
+    PATCH,
     DataError,
     Sample,
     apply_transform,
@@ -17,6 +21,7 @@ from palnet.data import (
     generate_dataset,
     load_manifest,
     load_sample,
+    _stamp_bars,
     manifest_path,
     mask_landmark_patches,
     render_sample,
@@ -49,6 +54,76 @@ def test_generation_is_byte_deterministic(tmp_path):
     c = str(tmp_path / "c")
     generate_dataset(c, seed=1, n=10, split="train")
     assert _dir_digest(a) != _dir_digest(c)
+
+
+@pytest.mark.parametrize("kwargs,digest", [
+    (dict(seed=0, n=14, split="train"),
+     "d4d25d8d3e9e75a25fe6665caef5d61cc579e104336066a8225ae3669855e3e1"),
+    (dict(seed=3, n=16, split="test", height=40, width=52, n_landmarks=9),
+     "d93b3d891f8b5cc996a2a9617667719361a0f8f34f224a4fc636027b37b574e1"),
+])
+def test_generation_bytes_are_pinned(tmp_path, kwargs, digest):
+    # every PGM, landmark file and manifest; bit-identical on one machine and
+    # one NumPy build, not promised across CPUs
+    generate_dataset(str(tmp_path), **kwargs)
+    assert _dir_digest(str(tmp_path)) == digest
+
+
+def _ref_stamp_bar(canvas, cx, cy, angle_deg, doubled=False):
+    """The per-bar meshgrid stamp `_stamp_bars` replaced, kept as its reference."""
+    h, w = canvas.shape
+    half = PATCH // 2
+    i0, i1 = max(int(round(cy)) - half, 0), min(int(round(cy)) + half + 1, h)
+    j0, j1 = max(int(round(cx)) - half, 0), min(int(round(cx)) + half + 1, w)
+    if i0 >= i1 or j0 >= j1:
+        return
+    ii, jj = np.meshgrid(np.arange(i0, i1), np.arange(j0, j1), indexing="ij")
+    t = np.deg2rad(angle_deg)
+    dx, dy = jj - cx, ii - cy
+    along = dx * np.cos(t) + dy * np.sin(t)
+    across = -dx * np.sin(t) + dy * np.cos(t)
+    region = canvas[i0:i1, j0:j1]
+    for off in (-2.0, 2.0) if doubled else (0.0,):
+        profile = (BAR_GAIN * np.exp(-(((across - off) / BAR_WIDTH) ** 2))
+                   * (np.abs(along) <= BAR_HALF_LEN))
+        np.maximum(region, profile, out=region)
+
+
+def _stamp_both_ways(height, width, bars):
+    """(reference, one-pass) canvases for (cx, cy, angle, doubled) bars."""
+    ref = np.zeros((height, width))
+    rows = []
+    for cx, cy, angle, doubled in bars:
+        _ref_stamp_bar(ref, cx, cy, angle, doubled)
+        rows += [(cx, cy, angle, off) for off in ((-2.0, 2.0) if doubled else (0.0,))]
+    got = np.zeros((height, width))
+    _stamp_bars(got, rows)
+    return ref, got
+
+
+@pytest.mark.parametrize("cx,cy", [
+    (20.3, 0.0),     # centre on row 0
+    (39.0, 17.6),    # centre on column w - 1
+    (0.0, 0.0),      # top-left corner
+    (39.0, 35.0),    # bottom-right corner
+    (2.5, 33.5),     # box clipped on two sides, half-way centre
+    (18.7, 16.2),    # box wholly inside
+])
+@pytest.mark.parametrize("angle", [0.0, 90.0, 37.3])
+@pytest.mark.parametrize("doubled", [False, True])
+def test_one_pass_stamp_matches_per_bar_reference(cx, cy, angle, doubled):
+    ref, got = _stamp_both_ways(36, 40, [(cx, cy, angle, doubled)])
+    assert got.tobytes() == ref.tobytes()
+    assert got.max() > 0.5
+
+
+def test_one_pass_stamp_matches_reference_on_overlapping_bars():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        bars = [(rng.uniform(-3, 43), rng.uniform(-3, 39), rng.uniform(0, 180), rng.random() < 0.3)
+                for _ in range(int(rng.integers(1, 30)))]
+        ref, got = _stamp_both_ways(36, 40, bars)
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_labels_exactly_balanced(tmp_path):

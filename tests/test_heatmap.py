@@ -1,4 +1,4 @@
-"""Prior heatmap checks: rasterization, the Gaussian closed form,
+"""Prior heatmap checks: the Gaussian closed form,
 standardization, resolution matching, and landmark transforms."""
 
 import math
@@ -15,7 +15,6 @@ from palnet.heatmap import (
     gaussian_heatmap,
     load_landmarks,
     match_resolution,
-    rasterize_landmarks,
     save_landmarks,
     standardize_map,
     transform_landmarks,
@@ -26,24 +25,6 @@ PEAK_SIGMA3 = 0.1329807601338109  # 1 / sqrt(18 * pi)
 
 def lms(*points):
     return LandmarkSet(np.array(points, dtype=np.float64))
-
-
-# ---------------------------------------------------------------------------
-# rasterization
-# ---------------------------------------------------------------------------
-
-
-def test_rasterize_counts():
-    m = rasterize_landmarks(lms((3, 4), (10, 12)), 16, 16)
-    assert m.values.sum() == 2.0
-    assert m.values[4, 3] == 1.0 and m.values[12, 10] == 1.0
-
-
-def test_rasterize_empty_and_coincident():
-    empty = rasterize_landmarks(LandmarkSet(np.zeros((0, 2))), 8, 8)
-    npt.assert_array_equal(empty.values, np.zeros((8, 8)))
-    double = rasterize_landmarks(lms((2, 2), (2.2, 1.8)), 8, 8)
-    assert double.values[2, 2] == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Backbone checks: init statistics, forward semantics, losses, optimizer,
 and checkpoint round trips."""
 
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -223,12 +225,30 @@ def test_checkpoint_failure_leaves_no_partial_file(tmp_path, monkeypatch):
     save_checkpoint(path, spec, params)
     original = load_checkpoint(path)[1]
 
-    monkeypatch.setattr("palnet.model.spec_to_dict", lambda s: (_ for _ in ()).throw(RuntimeError("boom")))
-    with pytest.raises(RuntimeError):
+    def boom(src, dst):
+        assert os.path.getsize(src) == os.path.getsize(path)  # the temp file was written
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(os, "replace", boom)
+    with pytest.raises(RuntimeError, match="boom"):
         save_checkpoint(path, spec, params)
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
     for k, v in load_checkpoint(path)[1].items():
         assert np.array_equal(v, original[k])
+
+
+def test_checkpoint_header_spec_bytes(tmp_path):
+    # the spec's field order is part of the file format: same spec, same bytes
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, tiny16(), init_params(tiny16(), 0))
+    with open(path, "rb") as fh:
+        header = fh.readline()
+    assert header.startswith(
+        b'{"spec": {"name": "tiny16", "in_shape": [1, 16, 16], "blocks": ['
+        b'{"out_channels": 4, "kernel": 3, "stride": 1, "padding": 1, "pool": 2}, '
+        b'{"out_channels": 6, "kernel": 3, "stride": 1, "padding": 1, "pool": null}], '
+        b'"n_classes": 3, "bias": true}, "entries": [{"name": "conv1.bias", "shape": [4], '
+    )
 
 
 def _write_raw_checkpoint(path, header_line: bytes, payload: bytes):
