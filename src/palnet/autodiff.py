@@ -17,8 +17,8 @@ Conventions baked in here:
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +57,8 @@ class Tape:
     """Append-only record of operations; node inputs always precede the node.
 
     A node keeps its value only when a backward rule reads it: its own rule
-    (see `_KEEP_OUTPUT`) or a recorded consumer's (see `_KEEP_INPUTS`).  Every
-    other value is freed as soon as the caller drops its Tensor.
+    (see `_Op.keep_output`) or a recorded consumer's (see `_Op.keep_inputs`).
+    Every other value is freed as soon as the caller drops its Tensor.
     """
 
     def __init__(self):
@@ -165,17 +165,24 @@ class Tensor:
 # op plumbing
 # ---------------------------------------------------------------------------
 
-_EVAL: dict[str, Callable] = {}
+
+class _Op(NamedTuple):
+    """What `_apply` needs to run and record one op kind."""
+
+    eval: Callable
+    keep_output: bool = False           # its backward rule reads its own output
+    keep_inputs: tuple[int, ...] = ()   # positions of the inputs its backward rule reads
+    check_finite: bool = True           # False for data movement: finite in, finite out
+
+
+_OPS: dict[str, _Op] = {}
+# kind -> backward rule, looked up at call time: perfbench/tracer.py swaps entries
 _VJP: dict[str, Callable] = {}
 
-# ops that only move data around cannot create NaN/Inf from finite inputs
-_NO_FINITE_CHECK = {"reshape", "transpose", "gather", "broadcast_to", "relu", "abs", "neg",
-                    "im2col", "pad", "crop"}
 
-# ops whose backward rule reads their own output
-_KEEP_OUTPUT = {"exp", "sqrt", "div", "relu"}
-# op -> positions of the inputs whose values its backward rule reads
-_KEEP_INPUTS = {"mul": (0, 1), "matmul": (0, 1), "div": (1,), "abs": (0,), "log": (0,)}
+def _register(kind: str, eval: Callable, vjp: Callable, **facts) -> None:
+    _OPS[kind] = _Op(eval, **facts)
+    _VJP[kind] = vjp
 
 
 def _value(x) -> np.ndarray:
@@ -198,12 +205,13 @@ def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
             values.append(x.data)
         else:
             values.append(np.asarray(x, dtype=np.float64))
-    if kind in _NO_FINITE_CHECK:
+    op = _OPS[kind]
+    if not op.check_finite:
         # data movement raises no floating-point warning on NaN/Inf operands
-        out = _EVAL[kind](values, ctx)
+        out = op.eval(values, ctx)
     else:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = _EVAL[kind](values, ctx)
+            out = op.eval(values, ctx)
         if not np.isfinite(out).all():
             raise NonFiniteError(f"op '{kind}' produced non-finite values")
     if tape is None or not tape.recording:
@@ -217,9 +225,9 @@ def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
             requires_grad = requires_grad or nodes[x.node].requires_grad
         else:
             ids.append(tape.leaf(v).node)
-    for i in _KEEP_INPUTS.get(kind, ()):
+    for i in op.keep_inputs:
         nodes[ids[i]].value = values[i]
-    nodes.append(Node(kind, tuple(ids), out if kind in _KEEP_OUTPUT else None, out.shape,
+    nodes.append(Node(kind, tuple(ids), out if op.keep_output else None, out.shape,
                       ctx, requires_grad))
     return Tensor(out, tape, len(nodes) - 1)
 
@@ -229,50 +237,17 @@ def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _no_broadcast(kind, v) -> ShapeError:
-    """The error for operands whose broadcast NumPy refused with ValueError."""
-    return ShapeError(f"{kind}: shapes {v[0].shape} and {v[1].shape} do not broadcast")
+def _binary(kind: str, fn: Callable) -> Callable:
+    """The eval of `fn(a, b)`, raising NumPy's refused broadcast as ShapeError."""
 
+    def eval_binary(v, ctx):
+        try:
+            return fn(v[0], v[1])
+        except ValueError:
+            msg = f"{kind}: shapes {v[0].shape} and {v[1].shape} do not broadcast"
+            raise ShapeError(msg) from None
 
-def _eval_add(v, ctx):
-    # C order whatever the operands' layouts: conv2d's bias add then hands
-    # relu, the relu VJP's mask and max-pool's gather contiguous memory, not
-    # the transposed matmul result
-    try:
-        return np.add(v[0], v[1], order="C")
-    except ValueError:
-        raise _no_broadcast("add", v) from None
-
-
-def _eval_sub(v, ctx):
-    try:
-        return v[0] - v[1]
-    except ValueError:
-        raise _no_broadcast("sub", v) from None
-
-
-def _eval_mul(v, ctx):
-    try:
-        return v[0] * v[1]
-    except ValueError:
-        raise _no_broadcast("mul", v) from None
-
-
-def _eval_div(v, ctx):
-    try:
-        out = v[0] / v[1]
-    except ValueError:
-        raise _no_broadcast("div", v) from None
-    if np.abs(v[1]).min() < 1e-300:
-        raise EngineError("degenerate divisor")
-    return out
-
-
-_EVAL["add"] = _eval_add
-_EVAL["sub"] = _eval_sub
-_EVAL["mul"] = _eval_mul
-_EVAL["div"] = _eval_div
-_EVAL["neg"] = lambda v, ctx: -v[0]
+    return eval_binary
 
 
 def _sum_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -301,11 +276,20 @@ def _vjp_add(tape, node, out_id, g, needs):
     ]
 
 
+# C order whatever the operands' layouts: conv2d's bias add then hands relu,
+# the relu VJP's mask and max-pool's gather contiguous memory, not the
+# transposed matmul result
+_register("add", _binary("add", partial(np.add, order="C")), _vjp_add)
+
+
 def _vjp_sub(tape, node, out_id, g, needs):
     return [
         _sum_to(g, _in_shape(tape, node, 0)) if needs[0] else None,
         _sum_to(neg(g), _in_shape(tape, node, 1)) if needs[1] else None,
     ]
+
+
+_register("sub", _binary("sub", np.subtract), _vjp_sub)
 
 
 def _vjp_mul(tape, node, out_id, g, needs):
@@ -316,6 +300,17 @@ def _vjp_mul(tape, node, out_id, g, needs):
     ]
 
 
+_register("mul", _binary("mul", np.multiply), _vjp_mul, keep_inputs=(0, 1))
+_divide = _binary("div", np.true_divide)
+
+
+def _eval_div(v, ctx):
+    out = _divide(v, ctx)
+    if np.abs(v[1]).min() < 1e-300:
+        raise EngineError("degenerate divisor")
+    return out
+
+
 def _vjp_div(tape, node, out_id, g, needs):
     b, out = _in(tape, node, 1), tape.tensor(out_id)
     return [
@@ -324,15 +319,14 @@ def _vjp_div(tape, node, out_id, g, needs):
     ]
 
 
+_register("div", _eval_div, _vjp_div, keep_output=True, keep_inputs=(1,))
+
+
 def _vjp_neg(tape, node, out_id, g, needs):
     return [neg(g)]
 
 
-_VJP["add"] = _vjp_add
-_VJP["sub"] = _vjp_sub
-_VJP["mul"] = _vjp_mul
-_VJP["div"] = _vjp_div
-_VJP["neg"] = _vjp_neg
+_register("neg", lambda v, ctx: -v[0], _vjp_neg, check_finite=False)
 
 
 def add(a, b) -> Tensor:
@@ -359,29 +353,14 @@ def neg(a) -> Tensor:
 # unary nonlinearities
 # ---------------------------------------------------------------------------
 
-def _eval_log(v, ctx):
-    if not (v[0] > 0).all():
-        raise NonFiniteError("log of non-positive value")
-    return np.log(v[0])
-
-
-def _eval_sqrt(v, ctx):
-    if not (v[0] >= 0).all():
-        raise NonFiniteError("sqrt of negative value")
-    return np.sqrt(v[0])
-
-
-_EVAL["relu"] = lambda v, ctx: np.maximum(v[0], 0.0)
-_EVAL["abs"] = lambda v, ctx: np.abs(v[0])
-_EVAL["exp"] = lambda v, ctx: np.exp(v[0])
-_EVAL["log"] = _eval_log
-_EVAL["sqrt"] = _eval_sqrt
-
-
 def _vjp_relu(tape, node, out_id, g, needs):
     # for finite x, max(x, 0) > 0 exactly when x > 0
     mask = (tape.nodes[out_id].value > 0.0).astype(np.float64)
     return [mul(g, mask)]
+
+
+_register("relu", lambda v, ctx: np.maximum(v[0], 0.0), _vjp_relu, keep_output=True,
+          check_finite=False)
 
 
 def _vjp_abs(tape, node, out_id, g, needs):
@@ -389,12 +368,33 @@ def _vjp_abs(tape, node, out_id, g, needs):
     return [mul(g, sign)]
 
 
+_register("abs", lambda v, ctx: np.abs(v[0]), _vjp_abs, keep_inputs=(0,), check_finite=False)
+
+
 def _vjp_exp(tape, node, out_id, g, needs):
     return [mul(g, tape.tensor(out_id))]
 
 
+_register("exp", lambda v, ctx: np.exp(v[0]), _vjp_exp, keep_output=True)
+
+
+def _eval_log(v, ctx):
+    if not (v[0] > 0).all():
+        raise NonFiniteError("log of non-positive value")
+    return np.log(v[0])
+
+
 def _vjp_log(tape, node, out_id, g, needs):
     return [div(g, _in(tape, node, 0))]
+
+
+_register("log", _eval_log, _vjp_log, keep_inputs=(0,))
+
+
+def _eval_sqrt(v, ctx):
+    if not (v[0] >= 0).all():
+        raise NonFiniteError("sqrt of negative value")
+    return np.sqrt(v[0])
 
 
 def _vjp_sqrt(tape, node, out_id, g, needs):
@@ -405,11 +405,7 @@ def _vjp_sqrt(tape, node, out_id, g, needs):
     return [div(mul(g, 0.5), denom)]
 
 
-_VJP["relu"] = _vjp_relu
-_VJP["abs"] = _vjp_abs
-_VJP["exp"] = _vjp_exp
-_VJP["log"] = _vjp_log
-_VJP["sqrt"] = _vjp_sqrt
+_register("sqrt", _eval_sqrt, _vjp_sqrt, keep_output=True)
 
 
 def relu(x) -> Tensor:
@@ -437,12 +433,21 @@ def sqrt(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _eval_reshape(v, ctx):
-    return np.reshape(v[0], ctx["shape"])
+def _vjp_reshape(tape, node, out_id, g, needs):
+    return [reshape(g, _in_shape(tape, node, 0))]
 
 
-def _eval_transpose(v, ctx):
-    return np.transpose(v[0], ctx["axes"])
+_register("reshape", lambda v, ctx: np.reshape(v[0], ctx["shape"]), _vjp_reshape,
+          check_finite=False)
+
+
+def _vjp_transpose(tape, node, out_id, g, needs):
+    inverse = tuple(np.argsort(node.ctx["axes"]))
+    return [transpose(g, inverse)]
+
+
+_register("transpose", lambda v, ctx: np.transpose(v[0], ctx["axes"]), _vjp_transpose,
+          check_finite=False)
 
 
 def _eval_broadcast(v, ctx):
@@ -451,8 +456,18 @@ def _eval_broadcast(v, ctx):
     return np.broadcast_to(v[0], ctx["shape"])
 
 
-def _eval_gather(v, ctx):
-    return np.take(v[0], ctx["idx"])
+def _vjp_broadcast(tape, node, out_id, g, needs):
+    return [_sum_to(g, _in_shape(tape, node, 0))]
+
+
+_register("broadcast_to", _eval_broadcast, _vjp_broadcast, check_finite=False)
+
+
+def _vjp_gather(tape, node, out_id, g, needs):
+    return [scatter_add(g, node.ctx["idx"], _in_shape(tape, node, 0))]
+
+
+_register("gather", lambda v, ctx: np.take(v[0], ctx["idx"]), _vjp_gather, check_finite=False)
 
 
 def _eval_scatter_add(v, ctx):
@@ -461,47 +476,11 @@ def _eval_scatter_add(v, ctx):
     return flat.reshape(ctx["out_shape"])
 
 
-def _eval_sum(v, ctx):
-    return np.sum(v[0], axis=ctx["axes"], keepdims=ctx["keepdims"])
-
-
-def _eval_matmul(v, ctx):
-    a, b = v
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    return a @ b
-
-
-_EVAL["reshape"] = _eval_reshape
-_EVAL["transpose"] = _eval_transpose
-_EVAL["broadcast_to"] = _eval_broadcast
-_EVAL["gather"] = _eval_gather
-_EVAL["scatter_add"] = _eval_scatter_add
-_EVAL["sum"] = _eval_sum
-_EVAL["matmul"] = _eval_matmul
-
-
-def _vjp_reshape(tape, node, out_id, g, needs):
-    return [reshape(g, _in_shape(tape, node, 0))]
-
-
-def _vjp_transpose(tape, node, out_id, g, needs):
-    inverse = tuple(np.argsort(node.ctx["axes"]))
-    return [transpose(g, inverse)]
-
-
-def _vjp_broadcast(tape, node, out_id, g, needs):
-    return [_sum_to(g, _in_shape(tape, node, 0))]
-
-
-def _vjp_gather(tape, node, out_id, g, needs):
-    return [scatter_add(g, node.ctx["idx"], _in_shape(tape, node, 0))]
-
-
 def _vjp_scatter_add(tape, node, out_id, g, needs):
     return [reshape(gather(g, node.ctx["idx"]), _in_shape(tape, node, 0))]
+
+
+_register("scatter_add", _eval_scatter_add, _vjp_scatter_add)
 
 
 def _vjp_sum(tape, node, out_id, g, needs):
@@ -516,6 +495,19 @@ def _vjp_sum(tape, node, out_id, g, needs):
     return [broadcast_to(reshape(g, kd_shape), in_shape)]
 
 
+_register("sum", lambda v, ctx: np.sum(v[0], axis=ctx["axes"], keepdims=ctx["keepdims"]),
+          _vjp_sum)
+
+
+def _eval_matmul(v, ctx):
+    a, b = v
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    return a @ b
+
+
 def _vjp_matmul(tape, node, out_id, g, needs):
     a, b = _in(tape, node, 0), _in(tape, node, 1)
     return [
@@ -524,13 +516,7 @@ def _vjp_matmul(tape, node, out_id, g, needs):
     ]
 
 
-_VJP["reshape"] = _vjp_reshape
-_VJP["transpose"] = _vjp_transpose
-_VJP["broadcast_to"] = _vjp_broadcast
-_VJP["gather"] = _vjp_gather
-_VJP["scatter_add"] = _vjp_scatter_add
-_VJP["sum"] = _vjp_sum
-_VJP["matmul"] = _vjp_matmul
+_register("matmul", _eval_matmul, _vjp_matmul, keep_inputs=(0, 1))
 
 
 def reshape(x, shape) -> Tensor:
@@ -611,6 +597,13 @@ def _eval_im2col(v, ctx):
     return np.take(v[0].reshape(n, -1), idx, axis=1).reshape(n * idx.shape[0], idx.shape[1])
 
 
+def _vjp_im2col(tape, node, out_id, g, needs):
+    return [col2im(g, node.ctx["shape"], *node.ctx["ks"])]
+
+
+_register("im2col", _eval_im2col, _vjp_im2col, check_finite=False)
+
+
 def _eval_col2im(v, ctx):
     # one bincount per sample: a pixel sums only its own sample's columns, in
     # (oi, oj) order, so its bits do not depend on the batch it came in
@@ -620,6 +613,13 @@ def _eval_col2im(v, ctx):
     for i in range(n):
         out[i] = np.bincount(idx, weights=cols[i], minlength=c * hp * wp)
     return out.reshape(ctx["shape"])
+
+
+def _vjp_col2im(tape, node, out_id, g, needs):
+    return [im2col(g, *node.ctx["ks"])]
+
+
+_register("col2im", _eval_col2im, _vjp_col2im)
 
 
 def _eval_pad(v, ctx):
@@ -632,37 +632,23 @@ def _eval_pad(v, ctx):
     return out
 
 
+def _vjp_pad(tape, node, out_id, g, needs):
+    return [crop(g, node.ctx["p"])]
+
+
+_register("pad", _eval_pad, _vjp_pad, check_finite=False)
+
+
 def _eval_crop(v, ctx):
     p, x = ctx["p"], v[0]
     return x[:, :, p : x.shape[2] - p, p : x.shape[3] - p]
-
-
-_EVAL["im2col"] = _eval_im2col
-_EVAL["col2im"] = _eval_col2im
-_EVAL["pad"] = _eval_pad
-_EVAL["crop"] = _eval_crop
-
-
-def _vjp_im2col(tape, node, out_id, g, needs):
-    return [col2im(g, node.ctx["shape"], *node.ctx["ks"])]
-
-
-def _vjp_col2im(tape, node, out_id, g, needs):
-    return [im2col(g, *node.ctx["ks"])]
-
-
-def _vjp_pad(tape, node, out_id, g, needs):
-    return [crop(g, node.ctx["p"])]
 
 
 def _vjp_crop(tape, node, out_id, g, needs):
     return [pad(g, node.ctx["p"])]
 
 
-_VJP["im2col"] = _vjp_im2col
-_VJP["col2im"] = _vjp_col2im
-_VJP["pad"] = _vjp_pad
-_VJP["crop"] = _vjp_crop
+_register("crop", _eval_crop, _vjp_crop, check_finite=False)
 
 
 def im2col(x, k: int, s: int) -> Tensor:

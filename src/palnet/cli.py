@@ -30,7 +30,8 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-augment", action="store_true")
 
 
-def _config_from_args(args) -> TrainConfig:
+def _base_config(args) -> dict:
+    """The `--config` JSON, if any, with `--train-manifest`/`--test-manifest` applied."""
     base: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -39,6 +40,11 @@ def _config_from_args(args) -> TrainConfig:
         base["train_manifest"] = args.train_manifest
     if args.test_manifest:
         base["test_manifest"] = args.test_manifest
+    return base
+
+
+def _config_from_args(args) -> TrainConfig:
+    base = _base_config(args)
     for key in ("tap", "method", "strategy", "pal_weight", "sigma", "seed",
                 "epochs", "lr", "batch_size"):
         value = getattr(args, key)
@@ -131,15 +137,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablation(args) -> int:
     with open(args.grid) as fh:
         grid = json.load(fh)
-    base = {}
-    if args.config:
-        with open(args.config) as fh:
-            base = json.load(fh)
-    if args.train_manifest:
-        base["train_manifest"] = args.train_manifest
-    if args.test_manifest:
-        base["test_manifest"] = args.test_manifest
-    rows = run_grid(grid, args.seeds, base, args.out)
+    rows = run_grid(grid, args.seeds, _base_config(args), args.out)
     csv_path = f"{args.out}/ablation.csv"
     write_csv(csv_path, rows)
     for row in rows:

@@ -50,8 +50,9 @@ class ModelSpec:
     def tap_names(self) -> list[str]:
         return [f"relu{i + 1}" for i in range(len(self.blocks))]
 
-    def tap_shapes(self) -> dict[str, tuple[int, int, int]]:
-        """(channels, H, W) of every post-relu map, validating extents."""
+    def _walk(self) -> tuple[dict[str, tuple[int, int, int]], int]:
+        """(channels, H, W) of every post-relu map and the flattened size the
+        head sees, validating extents."""
         c, h, w = self.in_shape
         out: dict[str, tuple[int, int, int]] = {}
         for i, blk in enumerate(self.blocks):
@@ -67,17 +68,14 @@ class ModelSpec:
                 h, w = (h - blk.pool) // blk.pool + 1, (w - blk.pool) // blk.pool + 1
                 if h < 1 or w < 1:
                     raise ModelError(f"block {i + 1}: pooling collapsed spatial extent")
-        return out
+        return out, c * h * w
+
+    def tap_shapes(self) -> dict[str, tuple[int, int, int]]:
+        """(channels, H, W) of every post-relu map, validating extents."""
+        return self._walk()[0]
 
     def head_in_features(self) -> int:
-        c, h, w = self.in_shape
-        for blk in self.blocks:
-            h = (h + 2 * blk.padding - blk.kernel) // blk.stride + 1
-            w = (w + 2 * blk.padding - blk.kernel) // blk.stride + 1
-            c = blk.out_channels
-            if blk.pool:
-                h, w = (h - blk.pool) // blk.pool + 1, (w - blk.pool) // blk.pool + 1
-        return c * h * w
+        return self._walk()[1]
 
     def param_count(self) -> int:
         total = 0

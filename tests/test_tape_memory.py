@@ -1,16 +1,83 @@
 """What the tape keeps alive: only the values backward rules read, only for
 one training step at a time, and in evaluation only the tap-to-logits tail."""
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from palnet import autodiff as ad
 from palnet.attribution import GRAD_INPUT, ChannelStrategy, attribution
-from palnet.autodiff import Tape
+from palnet.autodiff import Tape, TapeError
 from palnet.data import LandmarkSet, Sample, generate_dataset, manifest_path
 from palnet.model import forward, init_params, softmax_cross_entropy, toy64
 from palnet.train import TrainConfig, evaluate, train, training_loss
+
+
+# op kind -> (input shapes, the public op applied to tracked inputs of those shapes)
+_OP_CASES = {
+    "add": ([(2, 3), (2, 3)], ad.add),
+    "sub": ([(2, 3), (2, 3)], ad.sub),
+    "mul": ([(2, 3), (2, 3)], ad.mul),
+    "div": ([(2, 3), (2, 3)], ad.div),
+    "neg": ([(2, 3)], ad.neg),
+    "relu": ([(2, 3)], ad.relu),
+    "abs": ([(2, 3)], ad.absolute),
+    "exp": ([(2, 3)], ad.exp),
+    "log": ([(2, 3)], ad.log),
+    "sqrt": ([(2, 3)], ad.sqrt),
+    "reshape": ([(2, 3)], lambda x: ad.reshape(x, (3, 2))),
+    "transpose": ([(2, 3)], lambda x: ad.transpose(x, (1, 0))),
+    "broadcast_to": ([(1, 3)], lambda x: ad.broadcast_to(x, (2, 3))),
+    "gather": ([(2, 3)], lambda x: ad.gather(x, np.array([[5, 0], [2, 2]]))),
+    "scatter_add": ([(2, 2)], lambda x: ad.scatter_add(x, np.array([[5, 0], [2, 2]]), (2, 3))),
+    "sum": ([(2, 3)], lambda x: ad.reduce_sum(x, 1)),
+    "matmul": ([(2, 3), (3, 4)], ad.matmul),
+    "im2col": ([(2, 1, 4, 4)], lambda x: ad.im2col(x, 3, 1)),
+    "col2im": ([(8, 9)], lambda cols: ad.col2im(cols, (2, 1, 4, 4), 3, 1)),
+    "pad": ([(2, 1, 3, 3)], lambda x: ad.pad(x, 1)),
+    "crop": ([(2, 1, 5, 5)], lambda x: ad.crop(x, 1)),
+}
+
+
+def test_every_op_kind_is_registered_with_its_rule():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert set(ad._OPS) == set(ad._VJP) == set(_OP_CASES)
+    # the benchmark's tracer wraps these public functions and these kinds' rules
+    assert all(hasattr(ad, name) for name in tracer.OP_FUNCS)
+    assert set(tracer.OP_FUNCS.values()) <= set(ad._OPS)
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+@pytest.mark.parametrize("kind", sorted(_OP_CASES))
+def test_op_keeps_exactly_the_values_its_record_names(kind, create_graph):
+    shapes, fn = _OP_CASES[kind]
+    rng = np.random.default_rng(0)
+    tape = Tape()
+    xs = [tape.leaf(rng.uniform(0.5, 2.0, size=shape), requires_grad=True) for shape in shapes]
+    out = fn(*xs)
+    node, op = tape.nodes[out.node], ad._OPS[kind]
+    assert node.op == kind
+    named = {node.inputs[i] for i in op.keep_inputs} | ({out.node} if op.keep_output else set())
+    assert {i for i, n in enumerate(tape.nodes) if n.value is not None} == named
+    loss = ad.reduce_sum(out)
+    for nid in named:
+        # every value the record names is read: by tape.tensor (TapeError) or,
+        # in the relu and abs rules, straight off the node (TypeError on None)
+        value, tape.nodes[nid].value = tape.nodes[nid].value, None
+        with pytest.raises((TapeError, TypeError)):
+            ad.backward(loss, xs, create_graph=create_graph)
+        tape.nodes[nid].value = value
+    # and a value the rule reads but the record does not name would raise here
+    grads = ad.backward(loss, xs, create_graph=create_graph)
+    for x, g in zip(xs, grads):
+        assert g.shape == x.shape and np.isfinite(g.data).all()
+        assert g.tracked == create_graph
 
 
 def _conv_block_nodes(tape, relu_id):
