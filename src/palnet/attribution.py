@@ -57,59 +57,26 @@ class ChannelStrategy:
             )
         return keep
 
-    def out_channels(self, channels: int) -> int:
-        return channels if self.kind == "all" else 1
-
     def label(self) -> str:
         if self.kind == "mean_of_half" and self.keep is not None:
             return f"meanhalf{self.keep}"
         return {"all": "all", "mean": "mean", "mean_of_half": "meanhalf"}[self.kind]
 
 
-@dataclass
-class AttributionMap:
-    values: Tensor  # (N, C, H, W), non-negative
-    layer: str
-    method: str
-
-
-def sum_logits(trace: ForwardTrace) -> Tensor:
-    """Per-sample sum over all logit coordinates, shape (N,)."""
-    return ad.reduce_sum(trace.logits, axes=1)
-
-
-def _tap(trace: ForwardTrace, layer: str) -> Tensor:
+def attribution(trace: ForwardTrace, layer: str, method: str, create_graph: bool = False) -> Tensor:
+    """|d(batch logit sum)/d(tap)|, times the tap for grad_input; (N, C, H, W)."""
+    if method not in (GRAD, GRAD_INPUT):
+        raise AttributionError(f"unknown attribution method '{method}'")
     if layer not in trace.taps:
         raise AttributionError(f"'{layer}' is not a tapped feature map "
                                f"(have: {sorted(trace.taps)})")
-    return trace.taps[layer]
-
-
-def _logit_gradient(trace: ForwardTrace, layer: str, create_graph: bool) -> tuple[Tensor, Tensor]:
-    """Signed d(batch logit sum)/d(tap) and the tap tensor."""
-    tap = _tap(trace, layer)
-    total = ad.reduce_sum(trace.logits)
-    (g,) = ad.backward(total, [tap], create_graph=create_graph)
-    return g, tap
-
-
-def grad_attribution(trace: ForwardTrace, layer: str, create_graph: bool = False) -> AttributionMap:
-    g, _ = _logit_gradient(trace, layer, create_graph)
-    return AttributionMap(ad.absolute(g), layer, GRAD)
-
-
-def grad_input_attribution(trace: ForwardTrace, layer: str, create_graph: bool = False) -> AttributionMap:
-    g, tap = _logit_gradient(trace, layer, create_graph)
-    factor = tap if create_graph else tap.detach()
-    return AttributionMap(ad.mul(ad.absolute(g), factor), layer, GRAD_INPUT)
-
-
-def attribution(trace: ForwardTrace, layer: str, method: str, create_graph: bool = False) -> AttributionMap:
-    if method == GRAD:
-        return grad_attribution(trace, layer, create_graph)
+    tap = trace.taps[layer]
+    (g,) = ad.backward(ad.reduce_sum(trace.logits), [tap], create_graph=create_graph)
+    amap = ad.absolute(g)
     if method == GRAD_INPUT:
-        return grad_input_attribution(trace, layer, create_graph)
-    raise AttributionError(f"unknown attribution method '{method}'")
+        # without a recorded graph the map is a constant, so the tap's values suffice
+        amap = ad.mul(amap, tap if create_graph else tap.data)
+    return amap
 
 
 @lru_cache(maxsize=256)
@@ -134,9 +101,8 @@ def channel_slice_mean(values: Tensor, start: int, stop: int) -> Tensor:
     return ad.reduce_mean(sliced, axes=1, keepdims=True)
 
 
-def reduce_channels(amap: AttributionMap | Tensor, strategy: ChannelStrategy) -> Tensor:
+def reduce_channels(values: Tensor, strategy: ChannelStrategy) -> Tensor:
     """Apply the channel strategy; output is (N, C_out, H, W)."""
-    values = amap.values if isinstance(amap, AttributionMap) else amap
     n, c, h, w = values.shape
     if strategy.kind == "all":
         return values

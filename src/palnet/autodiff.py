@@ -1,10 +1,13 @@
 """Dense float64 tensors on a reverse-mode differentiation tape.
 
-The backward pass can itself be recorded (``create_graph=True``), so a loss
-that contains a gradient, such as an attribution map, stays differentiable
-and a second backward pass yields correct second-order derivatives.  Every
-primitive's backward rule is written with the same public ops, which is what
-makes the higher-order path work without special cases.
+`backward` differentiates with respect to any tensor tracked on the tape,
+and runs backward rules only on the nodes that lie on a path from one of
+those tensors to the output.  The backward pass can itself be recorded
+(``create_graph=True``), so a loss that contains a gradient, such as an
+attribution map, stays differentiable and a second backward pass yields
+correct second-order derivatives.  Every primitive's backward rule is written
+with the same public ops, which is what makes the higher-order path work
+without special cases.
 
 Conventions baked in here:
   * everything is float64,
@@ -42,15 +45,14 @@ class TapeError(EngineError):
 class Node:
     """One recorded op.  `value` is None unless a backward rule reads it."""
 
-    __slots__ = ("op", "inputs", "value", "shape", "ctx", "requires_grad")
+    __slots__ = ("op", "inputs", "value", "shape", "ctx")
 
-    def __init__(self, op, inputs, value, shape, ctx, requires_grad):
+    def __init__(self, op, inputs, value, shape, ctx):
         self.op = op
         self.inputs = inputs
         self.value = value
         self.shape = shape
         self.ctx = ctx
-        self.requires_grad = requires_grad
 
 
 class Tape:
@@ -68,11 +70,11 @@ class Tape:
     def __len__(self):
         return len(self.nodes)
 
-    def leaf(self, value, requires_grad=False) -> "Tensor":
+    def leaf(self, value) -> "Tensor":
         arr = np.asarray(value, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise NonFiniteError("leaf value contains NaN/Inf")
-        self.nodes.append(Node("leaf", (), None, arr.shape, None, requires_grad))
+        self.nodes.append(Node("leaf", (), None, arr.shape, None))
         return Tensor(arr, self, len(self.nodes) - 1)
 
     def tensor(self, node_id: int) -> "Tensor":
@@ -120,42 +122,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         tag = f", node={self.node}" if self.tracked else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axes=None, keepdims=False):
-        return reduce_sum(self, axes, keepdims)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -218,17 +187,14 @@ def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
         return Tensor(out)
     nodes = tape.nodes
     ids = []
-    requires_grad = False
     for x, v in zip(inputs, values):
         if isinstance(x, Tensor) and x.tape is tape and x.node is not None:
             ids.append(x.node)
-            requires_grad = requires_grad or nodes[x.node].requires_grad
         else:
             ids.append(tape.leaf(v).node)
     for i in op.keep_inputs:
         nodes[ids[i]].value = values[i]
-    nodes.append(Node(kind, tuple(ids), out if op.keep_output else None, out.shape,
-                      ctx, requires_grad))
+    nodes.append(Node(kind, tuple(ids), out if op.keep_output else None, out.shape, ctx))
     return Tensor(out, tape, len(nodes) - 1)
 
 
@@ -306,7 +272,8 @@ _divide = _binary("div", np.true_divide)
 
 def _eval_div(v, ctx):
     out = _divide(v, ctx)
-    if np.abs(v[1]).min() < 1e-300:
+    # an empty divisor has no degenerate entry
+    if v[1].size and np.abs(v[1]).min() < 1e-300:
         raise EngineError("degenerate divisor")
     return out
 
@@ -796,14 +763,12 @@ def backward(out: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> 
                 node = nodes[nid]
                 if node.op == "leaf":
                     continue
-                needs = tuple(
-                    bool(needed[i]) and nodes[i].requires_grad for i in node.inputs
-                )
+                needs = tuple(bool(needed[i]) for i in node.inputs)
                 if not any(needs):
                     continue
                 contribs = _VJP[node.op](tape, node, nid, g, needs)
                 for i, contrib in zip(node.inputs, contribs):
-                    if contrib is None or not needed[i] or not nodes[i].requires_grad:
+                    if contrib is None or not needed[i]:
                         continue
                     prev = grads.get(i)
                     grads[i] = contrib if prev is None else add(prev, contrib)

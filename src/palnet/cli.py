@@ -109,10 +109,10 @@ def cmd_attribute(args) -> int:
     trace = forward(spec, params, images, Tape(), grad_from=args.layer)
     amap = attribution(trace, args.layer, args.method, create_graph=False)
     if strategy.kind == "mean_of_half":
-        c = amap.values.shape[1]
+        c = amap.shape[1]
         keep = strategy.constrained(c)
-        maps = ((f"{strategy.label()}-constrained", channel_slice_mean(amap.values, 0, keep)),
-                (f"{strategy.label()}-free", channel_slice_mean(amap.values, keep, c)))
+        maps = ((f"{strategy.label()}-constrained", channel_slice_mean(amap, 0, keep)),
+                (f"{strategy.label()}-free", channel_slice_mean(amap, keep, c)))
     else:
         maps = ((strategy.label(), reduce_channels(amap, strategy)),)
     written = []

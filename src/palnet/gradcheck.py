@@ -49,9 +49,7 @@ def run_gradcheck(
     labels = rng.integers(0, spec.n_classes, size=batch)
     priors = np.stack(
         [
-            build_prior(
-                LandmarkSet(rng.uniform(3.0, h - 4.0, size=(5, 2))), h, w, tap_hw
-            ).values
+            build_prior(LandmarkSet(rng.uniform(3.0, h - 4.0, size=(5, 2))), h, w, tap_hw)
             for _ in range(batch)
         ]
     )

@@ -36,23 +36,8 @@ class LandmarkSet:
         return len(self.points)
 
 
-@dataclass
-class PriorHeatmap:
-    values: np.ndarray  # (h, w) float64
-    standardized: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise HeatmapError(f"heatmap must be 2-D, got shape {self.values.shape}")
-
-    @property
-    def resolution(self) -> tuple[int, int]:
-        return self.values.shape
-
-
-def gaussian_heatmap(lms: LandmarkSet, height: int, width: int, sigma: float = 3.0) -> PriorHeatmap:
-    """Sum of per-landmark Gaussians, closed form at every pixel."""
+def gaussian_heatmap(lms: LandmarkSet, height: int, width: int, sigma: float = 3.0) -> np.ndarray:
+    """Sum of per-landmark Gaussians, closed form at every pixel; (height, width)."""
     if sigma <= 0:
         raise HeatmapError("sigma must be positive")
     rows = np.arange(height, dtype=np.float64)[:, None, None]
@@ -61,32 +46,29 @@ def gaussian_heatmap(lms: LandmarkSet, height: int, width: int, sigma: float = 3
     ys = lms.points[:, 1][None, None, :]
     d2 = (rows - ys) ** 2 + (cols - xs) ** 2
     norm = 1.0 / np.sqrt(2.0 * np.pi * sigma * sigma)
-    values = (norm * np.exp(-d2 / (2.0 * sigma * sigma))).sum(axis=2)
-    return PriorHeatmap(values)
+    return (norm * np.exp(-d2 / (2.0 * sigma * sigma))).sum(axis=2)
 
 
-def standardize_map(h: PriorHeatmap) -> PriorHeatmap:
+def standardize_map(h: np.ndarray) -> np.ndarray:
     """Zero mean, unit population variance over all pixels."""
-    v = h.values
-    mean = v.mean()
-    std = v.std()
+    mean = h.mean()
+    std = h.std()
     if std < 1e-30:
         raise HeatmapError("degenerate prior: constant map cannot be standardized")
-    return PriorHeatmap((v - mean) / std, standardized=True)
+    return (h - mean) / std
 
 
-def match_resolution(h: PriorHeatmap, out_h: int, out_w: int) -> PriorHeatmap:
-    """Block-average down to (out_h, out_w), then re-standardize."""
-    in_h, in_w = h.resolution
+def match_resolution(h: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Block-average a 2-D map down to (out_h, out_w), then re-standardize."""
+    in_h, in_w = h.shape
     if out_h > in_h or out_w > in_w:
-        raise HeatmapError(f"cannot upscale {h.resolution} to {(out_h, out_w)}")
+        raise HeatmapError(f"cannot upscale {h.shape} to {(out_h, out_w)}")
     if in_h % out_h or in_w % out_w:
         raise HeatmapError(
-            f"non-integer downscale factor: {h.resolution} -> {(out_h, out_w)}"
+            f"non-integer downscale factor: {h.shape} -> {(out_h, out_w)}"
         )
     fh, fw = in_h // out_h, in_w // out_w
-    pooled = h.values.reshape(out_h, fh, out_w, fw).mean(axis=(1, 3))
-    return standardize_map(PriorHeatmap(pooled))
+    return standardize_map(h.reshape(out_h, fh, out_w, fw).mean(axis=(1, 3)))
 
 
 def transform_landmarks(
@@ -119,10 +101,10 @@ def build_prior(
     width: int,
     tap_hw: tuple[int, int] | None = None,
     sigma: float = 3.0,
-) -> PriorHeatmap:
+) -> np.ndarray:
     """Full pipeline: Gaussian render, standardize, optionally match a tap."""
     prior = standardize_map(gaussian_heatmap(lms, height, width, sigma))
-    if tap_hw is not None and tuple(tap_hw) != prior.resolution:
+    if tap_hw is not None and tuple(tap_hw) != prior.shape:
         prior = match_resolution(prior, *tap_hw)
     return prior
 

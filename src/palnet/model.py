@@ -184,9 +184,9 @@ def forward(spec: ModelSpec, params: Parameters, batch, tape: Tape | None = None
 
     With `grad_from` naming a tap, `tape` records only from that tap to the
     logits, which is all a backward from the logits to the tap reads: the
-    blocks up to the tap run untracked, the tap enters the tape as a leaf that
-    requires grad, later parameters enter as constants, and earlier taps are
-    not kept.  The values are those of the fully recorded forward, bit for bit.
+    blocks up to the tap run untracked, the tap enters the tape as a leaf,
+    later parameters enter as constants, and earlier taps are not kept.  The
+    values are those of the fully recorded forward, bit for bit.
     """
     batch_arr = batch.data if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
     c, h, w = spec.in_shape
@@ -197,7 +197,7 @@ def forward(spec: ModelSpec, params: Parameters, batch, tape: Tape | None = None
                          f"(have: {spec.tap_names()})")
 
     if tape is not None and grad_from is None:
-        leaves = {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
+        leaves = {k: tape.leaf(v) for k, v in params.items()}
         x = tape.leaf(batch_arr)
     else:
         leaves = {k: Tensor(v) for k, v in params.items()}
@@ -211,7 +211,7 @@ def forward(spec: ModelSpec, params: Parameters, batch, tape: Tape | None = None
         x = ad.relu(x)
         tap = f"relu{i + 1}"
         if tap == grad_from and tape is not None:
-            x = tape.leaf(x.data, requires_grad=True)
+            x = tape.leaf(x.data)
         if x.tracked or tape is None:
             taps[tap] = x
         if blk.pool:

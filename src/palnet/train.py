@@ -22,15 +22,14 @@ from . import autodiff as ad
 from .attribution import (
     GRAD,
     GRAD_INPUT,
-    AttributionMap,
     ChannelStrategy,
     attribution,
     reduce_channels,
 )
 from .autodiff import Tape
-from .data import DatasetManifest, Sample, augment, load_manifest, load_sample
+from .data import augment, load_manifest, load_sample
 from .heatmap import build_prior
-from .losses import LossBreakdown, pal_loss, pearson, total_loss
+from .losses import pal_loss, pearson, total_loss
 from .model import (
     ModelSpec,
     forward,
@@ -147,9 +146,7 @@ def training_loss(
 
 def batch_priors(samples: list, tap_hw: tuple[int, int], sigma: float) -> np.ndarray:
     h, w = samples[0].image.shape
-    return np.stack(
-        [build_prior(s.landmarks, h, w, tap_hw, sigma).values for s in samples]
-    )
+    return np.stack([build_prior(s.landmarks, h, w, tap_hw, sigma) for s in samples])
 
 
 def _batch_arrays(samples: list) -> tuple[np.ndarray, np.ndarray]:

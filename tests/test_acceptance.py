@@ -13,11 +13,11 @@ import pytest
 
 from palnet import autodiff as ad
 from palnet.ablation import aggregate_rows, run_grid
-from palnet.attribution import ChannelStrategy, attribution, channel_slice_mean, grad_attribution, reduce_channels
+from palnet.attribution import GRAD, ChannelStrategy, attribution, channel_slice_mean, reduce_channels
 from palnet.autodiff import Tape, Tensor
 from palnet.data import generate_dataset, load_manifest, load_sample, manifest_path
 from palnet.gradcheck import run_gradcheck
-from palnet.heatmap import LandmarkSet, PriorHeatmap, gaussian_heatmap, standardize_map, transform_landmarks
+from palnet.heatmap import LandmarkSet, gaussian_heatmap, standardize_map, transform_landmarks
 from palnet.losses import pal_loss, pearson
 from palnet.model import forward, init_params, load_checkpoint, toy64
 from palnet.seeding import stream
@@ -87,7 +87,7 @@ def test_criterion_2_exact_contribution_identity():
 
 def test_criterion_3_pal_invariants():
     rng = stream(0, "pal-invariants")
-    prior = standardize_map(PriorHeatmap(rng.uniform(size=(16, 16)))).values
+    prior = standardize_map(rng.uniform(size=(16, 16)))
 
     perfect = pal_loss(Tensor(prior.reshape(1, 1, 16, 16)), prior).item()
     ok_a = abs(perfect - (-256.0)) <= 1e-9
@@ -105,7 +105,7 @@ def test_criterion_3_pal_invariants():
     ok_b = worst_gap <= 1e-9
 
     tape = Tape()
-    amap = tape.leaf(rng.uniform(0.1, 1.0, size=(2, 8, 16, 16)), requires_grad=True)
+    amap = tape.leaf(rng.uniform(0.1, 1.0, size=(2, 8, 16, 16)))
     reduced = reduce_channels(amap, ChannelStrategy("mean_of_half"))
     (g,) = ad.backward(pal_loss(reduced, prior), [amap])
     free_max = float(np.abs(g.data[:, 4:]).max())
@@ -129,7 +129,7 @@ def test_criterion_3_pal_invariants():
 def test_criterion_4_prior_correctness():
     rng = stream(0, "prior")
     points = rng.uniform(2.0, 29.0, size=(6, 2))
-    got = gaussian_heatmap(LandmarkSet(points), 32, 32, sigma=3.0).values
+    got = gaussian_heatmap(LandmarkSet(points), 32, 32, sigma=3.0)
     oracle = np.zeros((32, 32))
     for i in range(32):
         for j in range(32):
@@ -140,18 +140,18 @@ def test_criterion_4_prior_correctness():
     closed_form_err = float(np.abs(got - oracle).max())
     ok_closed = closed_form_err <= 1e-12
 
-    peak = gaussian_heatmap(LandmarkSet(np.array([[16.0, 16.0]])), 32, 32, 3.0).values[16, 16]
+    peak = gaussian_heatmap(LandmarkSet(np.array([[16.0, 16.0]])), 32, 32, 3.0)[16, 16]
     ok_peak = abs(peak - 0.1329807601338109) <= 1e-12
 
-    std = standardize_map(PriorHeatmap(got))
-    ok_std = abs(std.values.mean()) <= 1e-9 and abs(std.values.var() - 1.0) <= 1e-9
+    std = standardize_map(got)
+    ok_std = abs(std.mean()) <= 1e-9 and abs(std.var() - 1.0) <= 1e-9
 
     int_points = LandmarkSet(np.array([[5.0, 8.0], [20.0, 25.0], [11.0, 30.0]]))
     flipped = transform_landmarks(int_points, 0.0, True, 32, 32)
     flip_err = float(
         np.abs(
-            gaussian_heatmap(flipped, 32, 32).values
-            - gaussian_heatmap(int_points, 32, 32).values[:, ::-1]
+            gaussian_heatmap(flipped, 32, 32)
+            - gaussian_heatmap(int_points, 32, 32)[:, ::-1]
         ).max()
     )
     ok_flip = flip_err <= 1e-9
@@ -324,9 +324,9 @@ def test_constrained_half_tracks_prior_better_than_free_half(experiment):
         priors = batch_priors(chunk, tap_hw, 3.0)
         trace = forward(spec, params, images, Tape())
         amap = attribution(trace, EXPERIMENT_TAP, "grad_input")
-        c = amap.values.shape[1]
-        cons_map = channel_slice_mean(amap.values, 0, c // 2).data
-        free_map = channel_slice_mean(amap.values, c // 2, c).data
+        c = amap.shape[1]
+        cons_map = channel_slice_mean(amap, 0, c // 2).data
+        free_map = channel_slice_mean(amap, c // 2, c).data
         for i in range(len(chunk)):
             cons.append(pearson(cons_map[i, 0], priors[i]))
             free.append(pearson(free_map[i, 0], priors[i]))
@@ -350,8 +350,8 @@ def test_criterion_6_pre_pool_sparsity():
     images = rng.uniform(0.0, 1.0, size=(4, 1, 64, 64))
     trace = forward(spec, params, images, Tape())
     # relu2 feeds a 2x2 maxpool, so 3 of 4 positions get exactly zero gradient
-    amap = grad_attribution(trace, "relu2")
-    frac = float((amap.values.data == 0.0).mean())
+    amap = attribution(trace, "relu2", GRAD)
+    frac = float((amap.data == 0.0).mean())
     ok = frac >= 0.5
     assert _report(
         "criterion 6 pre-pool sparsity",

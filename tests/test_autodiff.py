@@ -22,7 +22,7 @@ RNG = np.random.default_rng(1234)
 
 
 def tracked(tape, arr):
-    return tape.leaf(np.asarray(arr, dtype=np.float64), requires_grad=True)
+    return tape.leaf(np.asarray(arr, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +46,13 @@ def test_broadcast_and_shape_error(kind):
     msg = f"{kind}: shapes (2, 3) and (4,) do not broadcast"
     with pytest.raises(ShapeError, match=re.escape(msg)):
         fn(np.ones((2, 3)), np.ones((4,)))
+
+
+@pytest.mark.parametrize("numerator", [np.ones(0), np.ones(1)])
+def test_div_by_empty_divisor_is_empty(numerator):
+    # an empty divisor has no degenerate entry: the quotient is empty, as for add/sub/mul
+    out = ad.div(numerator, np.ones(0))
+    assert out.shape == (0,)
 
 
 def test_broadcast_gradients_reduce_correctly():
@@ -179,7 +186,7 @@ def test_backward_second_order_vs_finite_diff():
 
     def double_loss(xv: np.ndarray) -> float:
         tape = Tape()
-        x = tape.leaf(xv, requires_grad=True)
+        x = tape.leaf(xv)
         y = ad.reduce_sum(ad.mul(ad.mul(x, x), x))  # x^3
         (g,) = ad.backward(y, [x], create_graph=True)
         return ad.reduce_sum(ad.mul(g, g)).item()
@@ -199,7 +206,7 @@ def test_backward_preconditions():
     y = ad.mul(x, x)
     with pytest.raises(ShapeError, match="scalar"):
         ad.backward(y, [x])
-    other = Tape().leaf([1.0], requires_grad=True)
+    other = Tape().leaf([1.0])
     with pytest.raises(TapeError):
         ad.backward(ad.reduce_sum(y), [other])
     with pytest.raises(TapeError):
@@ -212,6 +219,59 @@ def test_backward_no_path_gives_zeros():
     z = tracked(tape, [5.0])
     (g,) = ad.backward(ad.reduce_sum(ad.mul(x, x)), [z])
     npt.assert_array_equal(g.data, [0.0])
+
+
+def test_gradient_wrt_a_plain_leaf():
+    x = Tape().leaf([1.0, 2.0])
+    (g,) = ad.backward(ad.reduce_sum(ad.mul(x, x)), [x])
+    npt.assert_array_equal(g.data, [2.0, 4.0])
+
+
+def test_gradient_wrt_forward_input_leaf_matches_finite_diff():
+    from palnet.model import forward, init_params, tiny16
+
+    spec = tiny16(n_classes=3)
+    params = init_params(spec, 0)
+    images = np.random.default_rng(7).uniform(size=(1, 1, 16, 16))
+    tape = Tape()
+    trace = forward(spec, params, images, tape)
+    # forward enters the batch as the first leaf after the parameters
+    node = len(params)
+    assert tape.nodes[node].op == "leaf" and tape.nodes[node].shape == images.shape
+    (g,) = ad.backward(ad.reduce_sum(trace.logits), [Tensor(images, tape, node)])
+
+    def logit_sum(t):
+        return ad.reduce_sum(forward(spec, params, t.data).logits)
+
+    fd = ad.finite_diff(logit_sum, images).data
+    assert np.abs(fd).max() > 0
+    npt.assert_allclose(g.data, fd, rtol=1e-5, atol=1e-8)
+
+
+def test_backward_runs_rules_only_on_paths_to_wrt():
+    calls = []
+
+    def counting(kind, rule):
+        def counted(tape, node, out_id, g, needs):
+            calls.append((kind, needs))
+            return rule(tape, node, out_id, g, needs)
+        return counted
+
+    saved = dict(ad._VJP)
+    try:
+        for kind, rule in saved.items():
+            ad._VJP[kind] = counting(kind, rule)
+        tape = Tape()
+        x = tracked(tape, [1.0, 2.0])
+        y = tracked(tape, [3.0, 4.0])
+        branch = ad.exp(ad.sqrt(y))                 # never reaches x
+        out = ad.reduce_sum(ad.add(ad.mul(x, y), branch))
+        (g,) = ad.backward(out, [x])
+    finally:
+        ad._VJP.clear()
+        ad._VJP.update(saved)
+    npt.assert_array_equal(g.data, [3.0, 4.0])
+    assert calls == [("sum", (True,)), ("add", (True, False)), ("mul", (True, False))]
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +413,8 @@ def test_data_movement_ops_raise_no_fp_error_on_non_finite_operands(n, bad):
 def _forward_backward_episode(seed):
     rng = np.random.default_rng(seed)
     tape = Tape()
-    x = tape.leaf(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
-    w = tape.leaf(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    x = tape.leaf(rng.normal(size=(2, 3, 6, 6)))
+    w = tape.leaf(rng.normal(size=(4, 3, 3, 3)))
     out = ad.maxpool2d(ad.relu(ad.conv2d(x, w, padding=1)), 2, 2)
     loss = ad.reduce_sum(ad.mul(out, out))
     gx, gw = ad.backward(loss, [x, w], create_graph=True)
@@ -374,7 +434,7 @@ def test_determinism_bit_identical():
 def test_tape_monotonic_growth_and_fresh_start():
     tape = Tape()
     counts = [len(tape)]
-    x = tape.leaf(np.array([1.0, -2.0]), requires_grad=True)
+    x = tape.leaf(np.array([1.0, -2.0]))
     counts.append(len(tape))
     y = ad.reduce_sum(ad.relu(x))
     counts.append(len(tape))
@@ -385,8 +445,8 @@ def test_tape_monotonic_growth_and_fresh_start():
 
 
 def test_mixed_tapes_rejected():
-    a = Tape().leaf([1.0], requires_grad=True)
-    b = Tape().leaf([2.0], requires_grad=True)
+    a = Tape().leaf([1.0])
+    b = Tape().leaf([2.0])
     with pytest.raises(TapeError):
         ad.add(a, b)
 

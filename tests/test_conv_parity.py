@@ -135,7 +135,7 @@ def test_maxpool_chosen_indices_and_adjoint_match_reference(shape, k, s, layout,
     assert_same_bits(chosen, ref_pool_argmax(x, k, s))
 
     tape = Tape()
-    xt = tape.leaf(x, requires_grad=True)
+    xt = tape.leaf(x)
     pooled = ad.maxpool2d(xt, k, s)
     assert_same_bits(pooled, ref_maxpool2d(x, k, s))
     weights = sample(pooled.shape, seed=1)
@@ -180,7 +180,7 @@ def test_conv2d_values_and_gradients_match_reference(n, stride, padding, layout)
 
     def grads(conv):
         tape = Tape()
-        x, w, b = (tape.leaf(v, requires_grad=True) for v in (x0, w0, b0))
+        x, w, b = (tape.leaf(v) for v in (x0, w0, b0))
         out = conv(x, w, b, stride=stride, padding=padding)
         loss = ad.reduce_sum(ad.mul(out, out))
         gx, gw = ad.backward(loss, [x, w], create_graph=True)
@@ -233,8 +233,8 @@ def test_conv_block_outputs_are_c_contiguous():
     # gather read contiguous memory, not the transposed matmul result
     rng = np.random.default_rng(14)
     tape = Tape()
-    x = tape.leaf(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
-    w, b = (tape.leaf(v, requires_grad=True) for v in (rng.normal(size=(3, 2, 3, 3)),
+    x = tape.leaf(rng.normal(size=(2, 2, 6, 6)))
+    w, b = (tape.leaf(v) for v in (rng.normal(size=(3, 2, 3, 3)),
                                                       rng.normal(size=3)))
     out = ad.conv2d(x, w, b, padding=1)
     act = ad.relu(out)
@@ -262,7 +262,7 @@ def test_conv2d_input_gradient_matches_finite_diff(stride, padding):
         return ad.reduce_sum(ad.mul(ad.relu(out), r))
 
     tape = Tape()
-    xt = tape.leaf(x0, requires_grad=True)
+    xt = tape.leaf(x0)
     (g,) = ad.backward(loss(xt), [xt])
     fd = ad.finite_diff(loss, x0.ravel()).data.reshape(x0.shape)
     npt.assert_allclose(g.data, fd, rtol=1e-6, atol=1e-8)
@@ -280,8 +280,8 @@ def test_second_order_through_padded_conv_matches_finite_diff():
 
     def outer(wv):
         tape = Tape()
-        x = tape.leaf(x0, requires_grad=True)
-        w = tape.leaf(wv.reshape(w0.shape), requires_grad=True)
+        x = tape.leaf(x0)
+        w = tape.leaf(wv.reshape(w0.shape))
         out = ad.conv2d(x, w, stride=2, padding=1)
         inner = ad.reduce_sum(ad.mul(ad.mul(out, out), r1))
         (gx,) = ad.backward(inner, [x], create_graph=True)

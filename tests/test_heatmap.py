@@ -10,7 +10,6 @@ import pytest
 from palnet.heatmap import (
     HeatmapError,
     LandmarkSet,
-    PriorHeatmap,
     build_prior,
     gaussian_heatmap,
     load_landmarks,
@@ -47,19 +46,19 @@ def gaussian_oracle(points, height, width, sigma):
 
 def test_gaussian_peak_and_falloff_values():
     m = gaussian_heatmap(lms((16, 16)), 32, 32, sigma=3.0)
-    npt.assert_allclose(m.values[16, 16], PEAK_SIGMA3, atol=1e-12)
+    npt.assert_allclose(m[16, 16], PEAK_SIGMA3, atol=1e-12)
     # three pixels to the right: distance 3 => peak * exp(-1/2)
-    npt.assert_allclose(m.values[16, 19], PEAK_SIGMA3 * math.exp(-0.5), atol=1e-12)
+    npt.assert_allclose(m[16, 19], PEAK_SIGMA3 * math.exp(-0.5), atol=1e-12)
 
 
 def test_gaussian_matches_pixelwise_oracle():
     points = [(3.5, 4.25), (10.0, 2.0), (7.7, 11.1)]
-    got = gaussian_heatmap(lms(*points), 14, 15, sigma=3.0).values
+    got = gaussian_heatmap(lms(*points), 14, 15, sigma=3.0)
     npt.assert_allclose(got, gaussian_oracle(points, 14, 15, 3.0), atol=1e-12)
 
 
 def test_gaussian_two_far_landmarks_equal_maxima():
-    m = gaussian_heatmap(lms((8, 8), (40, 40)), 48, 48, sigma=3.0).values
+    m = gaussian_heatmap(lms((8, 8), (40, 40)), 48, 48, sigma=3.0)
     npt.assert_allclose(m[8, 8], m[40, 40], atol=1e-12)
 
 
@@ -74,21 +73,20 @@ def test_gaussian_rejects_bad_sigma():
 
 
 def test_standardize_forced_values():
-    m = standardize_map(PriorHeatmap(np.array([[0.0, 0.0], [0.0, 2.0]])))
-    assert abs(m.values.mean()) < 1e-15
-    assert abs(m.values.var() - 1.0) < 1e-15
-    assert m.standardized
+    m = standardize_map(np.array([[0.0, 0.0], [0.0, 2.0]]))
+    assert abs(m.mean()) < 1e-15
+    assert abs(m.var() - 1.0) < 1e-15
 
 
 def test_standardize_idempotent():
-    m = standardize_map(PriorHeatmap(np.random.default_rng(0).uniform(size=(6, 6))))
+    m = standardize_map(np.random.default_rng(0).uniform(size=(6, 6)))
     again = standardize_map(m)
-    npt.assert_allclose(again.values, m.values, atol=1e-12)
+    npt.assert_allclose(again, m, atol=1e-12)
 
 
 def test_standardize_rejects_constant_map():
     with pytest.raises(HeatmapError, match="degenerate prior"):
-        standardize_map(PriorHeatmap(np.zeros((4, 4))))
+        standardize_map(np.zeros((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -98,26 +96,26 @@ def test_standardize_rejects_constant_map():
 
 def test_match_resolution_block_means():
     blocks = np.kron(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones((2, 2)))
-    pooled = match_resolution(PriorHeatmap(blocks), 2, 2)
-    want = standardize_map(PriorHeatmap(np.array([[1.0, 2.0], [3.0, 4.0]])))
-    npt.assert_allclose(pooled.values, want.values, atol=1e-12)
+    pooled = match_resolution(blocks, 2, 2)
+    want = standardize_map(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    npt.assert_allclose(pooled, want, atol=1e-12)
 
 
 def test_match_resolution_identity_factor():
-    m = PriorHeatmap(np.random.default_rng(1).uniform(size=(8, 8)))
+    m = np.random.default_rng(1).uniform(size=(8, 8))
     pooled = match_resolution(m, 8, 8)
-    npt.assert_allclose(pooled.values, standardize_map(m).values, atol=1e-12)
+    npt.assert_allclose(pooled, standardize_map(m), atol=1e-12)
 
 
 def test_match_resolution_preserves_peak_location():
     m = gaussian_heatmap(lms((21.0, 37.0)), 64, 64, sigma=3.0)
     pooled = match_resolution(standardize_map(m), 16, 16)
-    i, j = np.unravel_index(np.argmax(pooled.values), pooled.values.shape)
+    i, j = np.unravel_index(np.argmax(pooled), pooled.shape)
     assert abs(i - 37 // 4) <= 1 and abs(j - 21 // 4) <= 1
 
 
 def test_match_resolution_rejects_bad_factors():
-    m = PriorHeatmap(np.random.default_rng(2).uniform(size=(10, 10)))
+    m = np.random.default_rng(2).uniform(size=(10, 10))
     with pytest.raises(HeatmapError, match="non-integer"):
         match_resolution(m, 4, 4)
     with pytest.raises(HeatmapError):
@@ -159,8 +157,8 @@ def test_rotation_bound_enforced_and_clamping_flagged():
 def test_flip_equivariance_of_gaussian():
     points = lms((12, 7), (40, 22), (30, 50))
     flipped = transform_landmarks(points, 0.0, True, 64, 64)
-    direct = gaussian_heatmap(flipped, 64, 64).values
-    mirrored = gaussian_heatmap(points, 64, 64).values[:, ::-1]
+    direct = gaussian_heatmap(flipped, 64, 64)
+    mirrored = gaussian_heatmap(points, 64, 64)[:, ::-1]
     npt.assert_allclose(direct, mirrored, atol=1e-9)
 
 
@@ -171,9 +169,9 @@ def test_flip_equivariance_of_gaussian():
 
 def test_build_prior_is_standardized_at_tap_resolution():
     prior = build_prior(lms((20, 20), (44, 44)), 64, 64, tap_hw=(16, 16))
-    assert prior.resolution == (16, 16)
-    assert abs(prior.values.mean()) < 1e-9
-    assert abs(prior.values.var() - 1.0) < 1e-9
+    assert prior.shape == (16, 16)
+    assert abs(prior.mean()) < 1e-9
+    assert abs(prior.var() - 1.0) < 1e-9
 
 
 def test_landmark_file_round_trip(tmp_path):

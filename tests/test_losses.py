@@ -7,12 +7,12 @@ import pytest
 
 from palnet import autodiff as ad
 from palnet.autodiff import Tape, Tensor
-from palnet.heatmap import PriorHeatmap, standardize_map
+from palnet.heatmap import standardize_map
 from palnet.losses import LossError, pal_loss, pearson, standardize_attr, total_loss
 
 
 def standardized_prior(rng, h=8, w=8):
-    return standardize_map(PriorHeatmap(rng.uniform(size=(h, w)))).values
+    return standardize_map(rng.uniform(size=(h, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def test_standardize_attr_gradient_matches_finite_diff():
         return ad.reduce_sum(ad.mul(z, Tensor(prior.reshape(1, 1, 3, 3))))
 
     tape = Tape()
-    at = tape.leaf(a0, requires_grad=True)
+    at = tape.leaf(a0)
     (g,) = ad.backward(loss(at), [at])
     fd = ad.finite_diff(loss, a0.ravel()).data.reshape(a0.shape)
     assert np.max(np.abs(g.data - fd) / np.maximum(np.abs(fd), 1e-3)) < 1e-6
@@ -123,8 +123,8 @@ def test_pal_per_sample_prior_stack():
 
 def test_total_loss_arithmetic_and_invariant():
     tape = Tape()
-    ce = tape.leaf(np.array(1.9), requires_grad=True)
-    pal = tape.leaf(np.array(-3.0), requires_grad=True)
+    ce = tape.leaf(np.array(1.9))
+    pal = tape.leaf(np.array(-3.0))
     breakdown = total_loss(ce, pal, 1.0)
     npt.assert_allclose(breakdown.total, -1.1, atol=1e-12)
     assert abs(breakdown.total - (breakdown.ce + breakdown.weight * breakdown.pal)) < 1e-12
@@ -134,13 +134,13 @@ def test_total_loss_weight_zero_matches_ce_gradients():
     rng = np.random.default_rng(8)
     prior = standardized_prior(rng)
     tape = Tape()
-    x = tape.leaf(rng.uniform(size=(1, 1, 8, 8)), requires_grad=True)
+    x = tape.leaf(rng.uniform(size=(1, 1, 8, 8)))
     ce = ad.reduce_sum(ad.mul(x, x))
     pal = pal_loss(ad.mul(x, 2.0), prior)
     bd = total_loss(ce, pal, 0.0)
     (g_total,) = ad.backward(bd.tensor, [x])
     tape2 = Tape()
-    x2 = tape2.leaf(x.data, requires_grad=True)
+    x2 = tape2.leaf(x.data)
     (g_ce,) = ad.backward(ad.reduce_sum(ad.mul(x2, x2)), [x2])
     npt.assert_array_equal(g_total.data, g_ce.data)
 
@@ -152,7 +152,7 @@ def test_total_loss_gradient_linearity():
 
     def grads(mode):
         tape = Tape()
-        x = tape.leaf(rng0.copy(), requires_grad=True)
+        x = tape.leaf(rng0.copy())
         ce = ad.reduce_sum(ad.mul(x, x))
         pal = pal_loss(ad.exp(ad.mul(x, 0.3)), prior)
         if mode == "total":
@@ -171,7 +171,7 @@ def test_total_loss_gradient_linearity():
 
 def test_total_loss_rejects_non_finite():
     tape = Tape()
-    ce = tape.leaf(np.array(1.0), requires_grad=True)
+    ce = tape.leaf(np.array(1.0))
     with pytest.raises(Exception):
         total_loss(ce, Tensor(np.array(np.inf)), 1.0)
 

@@ -134,7 +134,7 @@ def test_forward_shape_mismatch():
 
 
 def test_ce_uniform_logits_is_log_n_classes():
-    logits = Tape().leaf(np.zeros((3, 7)), requires_grad=True)
+    logits = Tape().leaf(np.zeros((3, 7)))
     loss = softmax_cross_entropy(logits, [0, 3, 6])
     npt.assert_allclose(loss.item(), np.log(7.0), atol=1e-12)  # 1.945910...
 
@@ -142,7 +142,7 @@ def test_ce_uniform_logits_is_log_n_classes():
 def test_ce_saturates_at_zero_for_confident_logits():
     logits_arr = np.zeros((1, 7))
     logits_arr[0, 2] = 1000.0
-    loss = softmax_cross_entropy(Tape().leaf(logits_arr, requires_grad=True), [2])
+    loss = softmax_cross_entropy(Tape().leaf(logits_arr), [2])
     assert loss.item() < 1e-12
 
 
@@ -153,18 +153,18 @@ def test_ce_gradient_matches_finite_diff():
 
     def loss(t):
         tape = Tape()
-        lt = tape.leaf(t.data.reshape(2, 7), requires_grad=True)
+        lt = tape.leaf(t.data.reshape(2, 7))
         return softmax_cross_entropy(lt, labels)
 
     tape = Tape()
-    lt = tape.leaf(logits0, requires_grad=True)
+    lt = tape.leaf(logits0)
     (g,) = ad.backward(softmax_cross_entropy(lt, labels), [lt])
     fd = ad.finite_diff(loss, logits0.ravel()).data.reshape(2, 7)
     assert np.max(np.abs(g.data - fd) / np.maximum(np.abs(fd), 1e-3)) < 1e-6
 
 
 def test_ce_rejects_bad_labels():
-    logits = Tape().leaf(np.zeros((2, 7)), requires_grad=True)
+    logits = Tape().leaf(np.zeros((2, 7)))
     with pytest.raises(ModelError):
         softmax_cross_entropy(logits, [0, 7])
 
