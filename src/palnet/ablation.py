@@ -22,12 +22,14 @@ def run_grid(grid: list[dict], seeds: list[int], base: dict, out_dir: str) -> li
     rows: list[dict] = []
     for cell in grid:
         for seed in seeds:
-            cfg = TrainConfig(**{**base, **cell, "seed": seed})
-            run_dir = os.path.join(out_dir, "runs", cfg.config_id, f"seed{seed}")
-            row = {"config_id": cfg.config_id, "seed": seed,
-                   "test_acc": "", "attr_prior_corr": "", "wall_s": "",
+            # an invalid cell is named by its own fields
+            row = {"config_id": " ".join(f"{k}={v}" for k, v in sorted(cell.items())),
+                   "seed": seed, "test_acc": "", "attr_prior_corr": "", "wall_s": "",
                    "status": "ok", "test_acc_ci95": "", "attr_prior_corr_ci95": ""}
             try:
+                cfg = TrainConfig.from_dict({**base, **cell, "seed": seed})
+                row["config_id"] = cfg.config_id
+                run_dir = os.path.join(out_dir, "runs", cfg.config_id, f"seed{seed}")
                 record: RunRecord = train(cfg, run_dir)
                 row.update(
                     test_acc=record.test_acc,

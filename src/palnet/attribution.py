@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,13 +36,19 @@ class ChannelStrategy:
     def __post_init__(self):
         if self.kind not in ("all", "mean", "mean_of_half"):
             raise AttributionError(f"unknown channel strategy '{self.kind}'")
+        if self.keep is not None and self.kind != "mean_of_half":
+            raise AttributionError(f"channel strategy '{self.kind}' takes no channel count")
 
     @staticmethod
     def parse(text: str) -> "ChannelStrategy":
         text = text.strip().lower().replace("-", "_")
         if ":" in text:
-            kind, keep = text.split(":", 1)
-            return ChannelStrategy(kind, int(keep))
+            kind, count = text.split(":", 1)
+            try:
+                keep = int(count)
+            except ValueError:
+                raise AttributionError(f"channel count '{count}' is not an integer") from None
+            return ChannelStrategy(kind, keep)
         return ChannelStrategy(text)
 
     def constrained(self, channels: int) -> int:
@@ -79,37 +84,28 @@ def attribution(trace: ForwardTrace, layer: str, method: str, create_graph: bool
     return amap
 
 
-@lru_cache(maxsize=256)
-def _prefix_channel_indices(n, c, h, w, keep):
-    ni = np.arange(n, dtype=np.int64)[:, None, None, None]
-    ci = np.arange(keep, dtype=np.int64)[None, :, None, None]
-    hi = np.arange(h, dtype=np.int64)[None, None, :, None]
-    wi = np.arange(w, dtype=np.int64)[None, None, None, :]
-    return ((ni * c + ci) * h + hi) * w + wi
-
-
 def channel_slice_mean(values: Tensor, start: int, stop: int) -> Tensor:
-    """Mean over channels [start, stop), differentiable, shape (N, 1, H, W)."""
-    n, c, h, w = values.shape
+    """Mean over channels [start, stop), differentiable, shape (N, 1, H, W).
+
+    Channels outside the range are zeroed by a constant mask before the sum
+    over channels.  The sum adds channel by channel, and the maps are >= 0,
+    so the masked zeros leave every bit of the mean as it is.
+    """
+    c = values.shape[1]
     if not 0 <= start < stop <= c:
         raise AttributionError(f"channel range [{start}, {stop}) invalid for C={c}")
-    if start == 0 and stop == c:
-        sliced = values
-    else:
-        idx = _prefix_channel_indices(n, c, h, w, stop - start) + start * h * w
-        sliced = ad.gather(values, idx)
-    return ad.reduce_mean(sliced, axes=1, keepdims=True)
+    if stop - start < c:
+        mask = np.zeros((1, c, 1, 1))
+        mask[:, start:stop] = 1.0
+        values = ad.mul(values, mask)
+    return ad.mul(ad.reduce_sum(values, axes=1, keepdims=True), 1.0 / (stop - start))
 
 
 def reduce_channels(values: Tensor, strategy: ChannelStrategy) -> Tensor:
     """Apply the channel strategy; output is (N, C_out, H, W)."""
-    n, c, h, w = values.shape
     if strategy.kind == "all":
         return values
-    if strategy.kind == "mean":
-        return ad.reduce_mean(values, axes=1, keepdims=True)
-    keep = strategy.constrained(c)
-    return channel_slice_mean(values, 0, keep)
+    return channel_slice_mean(values, 0, strategy.constrained(values.shape[1]))
 
 
 def export_map_pgm(out_dir: str, sample: str, layer: str, method: str,

@@ -20,7 +20,7 @@ Conventions baked in here:
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -125,9 +125,6 @@ class Tensor:
     def __repr__(self):
         tag = f", node={self.node}" if self.tracked else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +239,7 @@ def _vjp_add(tape, node, out_id, g, needs):
     ]
 
 
-# C order whatever the operands' layouts: conv2d's bias add then hands relu,
-# the relu VJP's mask and max-pool's gather contiguous memory, not the
-# transposed matmul result
-_register("add", _binary("add", partial(np.add, order="C")), _vjp_add)
+_register("add", _binary("add", np.add), _vjp_add)
 
 
 def _vjp_sub(tape, node, out_id, g, needs):
@@ -326,8 +320,11 @@ def _vjp_relu(tape, node, out_id, g, needs):
     return [mul(g, mask)]
 
 
-_register("relu", lambda v, ctx: np.maximum(v[0], 0.0), _vjp_relu, keep_output=True,
-          check_finite=False)
+# C order whatever the input's layout: relu's output is every tap, the relu
+# VJP's mask and max-pool's input, and conv2d hands it the transposed matmul
+# result, with or without a bias
+_register("relu", lambda v, ctx: np.maximum(v[0], 0.0, order="C"), _vjp_relu,
+          keep_output=True, check_finite=False)
 
 
 def _vjp_abs(tape, node, out_id, g, needs):

@@ -52,7 +52,7 @@ def _config_from_args(args) -> TrainConfig:
             base[key] = value
     if args.no_augment:
         base["augment"] = False
-    return TrainConfig(**base)
+    return TrainConfig.from_dict(base)
 
 
 def cmd_gen_data(args) -> int:

@@ -17,7 +17,7 @@ from .attribution import GRAD, GRAD_INPUT, ChannelStrategy
 from .heatmap import LandmarkSet, build_prior
 from .model import init_params, tiny16
 from .seeding import stream
-from .train import training_loss
+from .train import loss_and_grads, training_loss
 
 COMBOS = [("none", "all")] + [
     (m, s) for m in (GRAD, GRAD_INPUT) for s in ("all", "mean", "mean_of_half")
@@ -61,30 +61,22 @@ def run_gradcheck(
         strategy = ChannelStrategy.parse(strategy_name)
         use_priors = priors if method != "none" else None
 
-        breakdown, trace = training_loss(
+        _, analytic = loss_and_grads(
             spec, params, images, labels, use_priors, tap, method, strategy, pal_weight
         )
-        names = sorted(trace.params)
-        analytic = {
-            k: g.data
-            for k, g in zip(
-                names, ad.backward(breakdown.tensor, [trace.params[k] for k in names])
-            )
-        }
 
         per_param: dict[str, float] = {}
-        for name in names:
+        for name, a in analytic.items():
 
             def objective(t):
                 trial = dict(params)
                 trial[name] = t.data
-                bd, _ = training_loss(
+                # forward only: the finite differences need no backward
+                return training_loss(
                     spec, trial, images, labels, use_priors, tap, method, strategy, pal_weight
-                )
-                return bd.total
+                )[0].total
 
             fd = ad.finite_diff(objective, params[name], eps).data
-            a = analytic[name]
             mask = (np.abs(a) > 1e-8) | (np.abs(fd) > 1e-8)
             if mask.any():
                 rel = np.abs(a - fd)[mask] / np.maximum(np.abs(a), np.abs(fd))[mask]

@@ -78,17 +78,7 @@ class ModelSpec:
         return self._walk()[1]
 
     def param_count(self) -> int:
-        total = 0
-        c = self.in_shape[0]
-        for blk in self.blocks:
-            total += blk.out_channels * c * blk.kernel * blk.kernel
-            if self.bias:
-                total += blk.out_channels
-            c = blk.out_channels
-        total += self.head_in_features() * self.n_classes
-        if self.bias:
-            total += self.n_classes
-        return total
+        return sum(int(np.prod(shape)) for shape in param_shapes(self).values())
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
@@ -144,25 +134,32 @@ def get_spec(name: str, **kwargs) -> ModelSpec:
 Parameters = dict  # name -> np.ndarray, float64
 
 
+def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in initialization order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    c = spec.in_shape[0]
+    for i, blk in enumerate(spec.blocks):
+        shapes[f"conv{i + 1}.weight"] = (blk.out_channels, c, blk.kernel, blk.kernel)
+        if spec.bias:
+            shapes[f"conv{i + 1}.bias"] = (blk.out_channels,)
+        c = blk.out_channels
+    shapes["head.weight"] = (spec.head_in_features(), spec.n_classes)
+    if spec.bias:
+        shapes["head.bias"] = (spec.n_classes,)
+    return shapes
+
+
 def init_params(spec: ModelSpec, seed: int) -> Parameters:
     """He-normal weights (variance 2/fan_in), zero biases; per-seed deterministic."""
     params: Parameters = {}
-    c = spec.in_shape[0]
-    for i, blk in enumerate(spec.blocks):
-        name = f"conv{i + 1}"
-        fan_in = c * blk.kernel * blk.kernel
-        rng = stream(seed, "init", name)
-        params[f"{name}.weight"] = rng.normal(
-            0.0, np.sqrt(2.0 / fan_in), size=(blk.out_channels, c, blk.kernel, blk.kernel)
-        )
-        if spec.bias:
-            params[f"{name}.bias"] = np.zeros(blk.out_channels)
-        c = blk.out_channels
-    fan_in = spec.head_in_features()
-    rng = stream(seed, "init", "head")
-    params["head.weight"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, spec.n_classes))
-    if spec.bias:
-        params["head.bias"] = np.zeros(spec.n_classes)
+    for name, shape in param_shapes(spec).items():
+        layer, kind = name.split(".")
+        if kind == "bias":
+            params[name] = np.zeros(shape)
+            continue
+        # conv weights are (out, in, k, k); the head's are (in, out)
+        fan_in = shape[0] if layer == "head" else int(np.prod(shape[1:]))
+        params[name] = stream(seed, "init", layer).normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
     return params
 
 
@@ -278,7 +275,8 @@ def write_atomic(path: str, chunks: list[bytes]) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[ModelSpec, Parameters]:
-    """Read a checkpoint; its entries must tile the payload exactly and be finite."""
+    """Read a checkpoint; its entries must tile the payload exactly, be finite,
+    and have the names and shapes of the spec's parameters."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -299,6 +297,12 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, Parameters]:
             end += arr.nbytes
         if len(payload) != end:
             raise ValueError(f"{len(payload) - end} bytes after the last entry")
+        expected = param_shapes(spec)
+        for name in sorted(expected.keys() | params.keys()):
+            got = params[name].shape if name in params else None
+            if got != expected.get(name):
+                raise ValueError(f"entry '{name}' has shape {got}, "
+                                 f"the spec's parameter has {expected.get(name)}")
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ModelError(f"corrupt checkpoint {path}: {exc}") from exc
     return spec, params

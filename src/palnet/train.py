@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -92,6 +92,17 @@ class TrainConfig:
     def uses_pal(self) -> bool:
         return self.method != "none"
 
+    @staticmethod
+    def from_dict(raw: dict) -> "TrainConfig":
+        """A config from a JSON object, naming any unknown or missing field."""
+        declared = fields(TrainConfig)
+        faults = [f"unknown field '{k}'" for k in sorted(raw.keys() - {f.name for f in declared})]
+        faults += [f"missing field '{f.name}'" for f in declared
+                   if f.name not in raw and f.default is MISSING]
+        if faults:
+            raise TrainError("config: " + ", ".join(faults))
+        return TrainConfig(**raw)
+
 
 @dataclass
 class RunRecord:
@@ -111,7 +122,8 @@ class RunRecord:
 
 
 # ---------------------------------------------------------------------------
-# the end-to-end objective (shared by the train step and the gradient checker)
+# the end-to-end objective: `training_loss` records it, `loss_and_grads`
+# differentiates it for the train step and the gradient checker
 # ---------------------------------------------------------------------------
 
 
@@ -125,16 +137,13 @@ def training_loss(
     method: str,
     strategy: ChannelStrategy,
     weight: float,
-    tape: Tape | None = None,
 ):
     """Cross-entropy plus (optionally) the attribution prior term.
 
     Returns (LossBreakdown, ForwardTrace); the breakdown's tensor is tracked
-    on the tape so callers can run backward over it.
+    on a fresh tape so callers can run backward over it.
     """
-    if tape is None:
-        tape = Tape()
-    trace = forward(spec, params, images, tape)
+    trace = forward(spec, params, images, Tape())
     ce = softmax_cross_entropy(trace.logits, labels)
     if method == "none":
         return total_loss(ce, None, weight), trace
@@ -142,6 +151,21 @@ def training_loss(
     reduced = reduce_channels(amap, strategy)
     pal = pal_loss(reduced, priors)
     return total_loss(ce, pal, weight), trace
+
+
+def loss_and_grads(spec, params, images, labels, priors, tap, method, strategy, weight):
+    """The objective's (ce, pal, total) floats and its gradient per parameter name.
+
+    The tape lives only inside this call, so a training step's tape is freed
+    before the next batch is built.
+    """
+    breakdown, trace = training_loss(
+        spec, params, images, labels, priors, tap, method, strategy, weight
+    )
+    names = sorted(trace.params)
+    grad_list = ad.backward(breakdown.tensor, [trace.params[k] for k in names])
+    grads = {k: g.data for k, g in zip(names, grad_list)}
+    return (breakdown.ce, breakdown.pal, breakdown.total), grads
 
 
 def batch_priors(samples: list, tap_hw: tuple[int, int], sigma: float) -> np.ndarray:
@@ -177,30 +201,21 @@ def evaluate(
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     correct = 0
     corrs: list[float] = []
-    for chunk, images, labels in _chunks(samples, batch_size):
+    for start in range(0, len(samples), batch_size):
+        chunk = samples[start : start + batch_size]
+        images, labels = _batch_arrays(chunk)
         if with_corr:
             preds, chunk_corrs = _evaluate_chunk(
                 spec, params, chunk, images, tap, method, strategy, sigma
             )
             corrs.extend(chunk_corrs)
         else:
-            preds = _predict(spec, params, images)
+            preds = predictions(forward(spec, params, images).logits)
         correct += int((preds == labels).sum())
         for t, p in zip(labels, preds):
             confusion[t, p] += 1
     acc = correct / len(samples)
     return acc, confusion, float(np.mean(corrs)) if corrs else 0.0
-
-
-def _chunks(samples: list, batch_size: int):
-    """(samples, images, labels) of consecutive chunks of at most batch_size."""
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
-        yield (chunk, *_batch_arrays(chunk))
-
-
-def _predict(spec, params, images) -> np.ndarray:
-    return predictions(forward(spec, params, images).logits)
 
 
 def _evaluate_chunk(spec, params, chunk, images, tap, method, strategy, sigma):
@@ -218,13 +233,6 @@ def _evaluate_chunk(spec, params, chunk, images, tap, method, strategy, sigma):
         for i in range(len(chunk))
     ]
     return predictions(trace.logits), corrs
-
-
-def accuracy(spec: ModelSpec, params: dict, samples: list, batch_size: int = 64) -> float:
-    """Top-1 accuracy from untracked forward passes."""
-    correct = sum(int((_predict(spec, params, images) == labels).sum())
-                  for _, images, labels in _chunks(samples, batch_size))
-    return correct / len(samples)
 
 
 def stratified_split(labels: np.ndarray, fraction: float, rng: np.random.Generator):
@@ -258,22 +266,6 @@ def _epoch_order(labels: np.ndarray, rng: np.random.Generator, balanced: bool) -
 # ---------------------------------------------------------------------------
 # the training loop
 # ---------------------------------------------------------------------------
-
-
-def _loss_and_grads(spec, params, images, labels, priors, config, strategy):
-    """One step's (ce, pal, total) floats and parameter gradients.
-
-    The step's tape lives only inside this call, so it is freed before the
-    next batch is built.
-    """
-    breakdown, trace = training_loss(
-        spec, params, images, labels, priors,
-        config.tap, config.method, strategy, config.pal_weight,
-    )
-    names = sorted(trace.params)
-    grad_list = ad.backward(breakdown.tensor, [trace.params[k] for k in names])
-    grads = {k: g.data for k, g in zip(names, grad_list)}
-    return (breakdown.ce, breakdown.pal, breakdown.total), grads
 
 
 def train(config: TrainConfig, out_dir: str) -> RunRecord:
@@ -345,8 +337,9 @@ def train(config: TrainConfig, out_dir: str) -> RunRecord:
                 priors = (
                     batch_priors(chunk, tap_hw, config.sigma) if config.uses_pal else None
                 )
-                (ce, pal, total), grads = _loss_and_grads(
-                    spec, params, images, labels, priors, config, strategy
+                (ce, pal, total), grads = loss_and_grads(
+                    spec, params, images, labels, priors,
+                    config.tap, config.method, strategy, config.pal_weight,
                 )
                 lr_t = poly_decay(config.lr, step, total_steps, config.decay_power)
                 params = adam_step(params, grads, state, lr_t)
@@ -356,7 +349,8 @@ def train(config: TrainConfig, out_dir: str) -> RunRecord:
                 emit(step, ce=ce, pal=pal, total=total)
                 step += 1
 
-            val_acc = accuracy(spec, params, val_samples)
+            val_acc, _, _ = evaluate(spec, params, val_samples, eval_tap, eval_method,
+                                     strategy, config.sigma, with_corr=False)
             record.val_acc.append(val_acc)
             emit(f"epoch-{epoch}", val_acc=val_acc)
             if val_acc > record.best_val_acc or record.best_epoch < 0:

@@ -78,7 +78,7 @@ def test_grad_attribution_matches_finite_diff_of_head():
 
     def head_sum(t):
         # recompute the layers above the tap with the tap values replaced
-        flat = ad.reshape(t.reshape(tap_value.shape), (1, spec.head_in_features()))
+        flat = ad.reshape(ad.reshape(t, tap_value.shape), (1, spec.head_in_features()))
         logits = ad.add(
             ad.matmul(flat, Tensor(params["head.weight"])),
             Tensor(params["head.bias"].reshape(1, -1)),
@@ -183,6 +183,50 @@ def test_mean_of_half_gradient_is_zero_on_free_channels():
 def test_channel_slice_mean_range_check():
     with pytest.raises(AttributionError):
         channel_slice_mean(Tensor(np.zeros((1, 4, 2, 2))), 2, 2)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("mean_of_half:x", "'x' is not an integer"),
+    ("mean:3", "'mean' takes no channel count"),
+    ("all:2", "'all' takes no channel count"),
+])
+def test_strategy_parse_rejects_bad_counts(text, match):
+    with pytest.raises(AttributionError, match=match):
+        ChannelStrategy.parse(text)
+
+
+def ref_channel_slice_mean(values, start, stop):
+    """The channel mean as a gather of channels [start, stop) and a reduce_mean."""
+    n, c, h, w = values.shape
+    if stop - start < c:
+        idx = ((np.arange(n)[:, None, None, None] * c + np.arange(start, stop)[:, None, None]) * h
+               + np.arange(h)[:, None]) * w + np.arange(w)
+        values = ad.gather(values, idx)
+    return ad.reduce_mean(values, axes=1, keepdims=True)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("case", ["mean", "mean_of_half", "mean_of_half:2", "free_half"])
+def test_masked_channel_mean_keeps_the_bits_of_a_gather(case, bias):
+    # forward values and the second-order gradient that training takes through
+    # a recorded attribution, against the gather formulation, bit for bit
+    spec, params, images, trace = _tiny_trace(seed=8, batch=3, bias=bias)
+    amap = attribution(trace, "relu2", GRAD_INPUT, create_graph=True)
+    c = amap.shape[1]
+    if case == "free_half":
+        start, stop = ChannelStrategy.parse("mean_of_half").constrained(c), c
+        got = channel_slice_mean(amap, start, stop)
+    else:
+        start, stop = 0, ChannelStrategy.parse(case).constrained(c)
+        got = reduce_channels(amap, ChannelStrategy.parse(case))
+    want = ref_channel_slice_mean(amap, start, stop)
+    assert got.data.tobytes() == want.data.tobytes()
+
+    r = np.random.default_rng(9).normal(size=got.shape)   # both signs reach the mask
+    leaves = [trace.params[k] for k in sorted(trace.params)]
+    for g_got, g_want in zip(ad.backward(ad.reduce_sum(ad.mul(ad.mul(got, got), r)), leaves),
+                             ad.backward(ad.reduce_sum(ad.mul(ad.mul(want, want), r)), leaves)):
+        assert g_got.data.tobytes() == g_want.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

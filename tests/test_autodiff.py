@@ -301,7 +301,7 @@ def test_finite_diff_examples():
         ("exp", lambda t, c: ad.exp(t)),
         ("log", lambda t, c: ad.log(ad.absolute(t))),
         ("sqrt", lambda t, c: ad.sqrt(ad.absolute(t))),
-        ("matmul", lambda t, c: ad.matmul(t.reshape((3, 4)) if t.ndim == 1 else t, c)),
+        ("matmul", lambda t, c: ad.matmul(ad.reshape(t, (3, 4)) if t.ndim == 1 else t, c)),
     ],
 )
 def test_op_gradient_matches_finite_diff(name, fn):
@@ -329,7 +329,7 @@ def test_pool_and_gather_gradients_match_finite_diff():
     x0 = rng.normal(size=(1, 2, 4, 4)) * 2.0
 
     def loss(t):
-        return ad.reduce_sum(ad.mul(ad.maxpool2d(t.reshape((1, 2, 4, 4)), 2, 2), 3.0))
+        return ad.reduce_sum(ad.mul(ad.maxpool2d(ad.reshape(t, (1, 2, 4, 4)), 2, 2), 3.0))
 
     tape = Tape()
     xt = tracked(tape, x0)
@@ -344,7 +344,8 @@ def test_conv2d_param_gradient_matches_finite_diff():
     w0 = rng.normal(size=(3, 2, 3, 3))
 
     def loss(wt):
-        return ad.reduce_sum(ad.relu(ad.conv2d(Tensor(x), wt.reshape(w0.shape), stride=1, padding=1)))
+        w = ad.reshape(wt, w0.shape)
+        return ad.reduce_sum(ad.relu(ad.conv2d(Tensor(x), w, stride=1, padding=1)))
 
     tape = Tape()
     wt = tracked(tape, w0)

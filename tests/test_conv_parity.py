@@ -228,18 +228,20 @@ def test_index_tables_do_not_depend_on_batch_size():
     assert ad._im2col_indices.cache_info().currsize == 1
 
 
-def test_conv_block_outputs_are_c_contiguous():
-    # the bias add writes C order, so relu, the relu VJP's mask and max-pool's
-    # gather read contiguous memory, not the transposed matmul result
+@pytest.mark.parametrize("bias", [True, False])
+def test_conv_block_outputs_are_c_contiguous(bias):
+    # relu writes C order, so with or without a bias the tap, the relu VJP's
+    # mask and max-pool's gather read contiguous memory, not the transposed
+    # matmul result that conv2d returns
     rng = np.random.default_rng(14)
     tape = Tape()
     x = tape.leaf(rng.normal(size=(2, 2, 6, 6)))
-    w, b = (tape.leaf(v) for v in (rng.normal(size=(3, 2, 3, 3)),
-                                                      rng.normal(size=3)))
+    w = tape.leaf(rng.normal(size=(3, 2, 3, 3)))
+    b = tape.leaf(rng.normal(size=3)) if bias else None
     out = ad.conv2d(x, w, b, padding=1)
     act = ad.relu(out)
     pooled = ad.maxpool2d(act, 2, 2)
-    for t in (out, act, pooled):
+    for t in (act, pooled):
         assert t.data.flags.c_contiguous
     (g,) = ad.backward(ad.reduce_sum(ad.mul(pooled, pooled)), [out])
     assert g.data.flags.c_contiguous
@@ -258,7 +260,7 @@ def test_conv2d_input_gradient_matches_finite_diff(stride, padding):
     r = rng.normal(size=ad.conv2d(x0, w, stride=stride, padding=padding).shape)
 
     def loss(xt):
-        out = ad.conv2d(xt.reshape(x0.shape), w, stride=stride, padding=padding)
+        out = ad.conv2d(ad.reshape(xt, x0.shape), w, stride=stride, padding=padding)
         return ad.reduce_sum(ad.mul(ad.relu(out), r))
 
     tape = Tape()

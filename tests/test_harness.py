@@ -15,7 +15,7 @@ from palnet.cli import main as cli_main
 from palnet.data import generate_dataset, load_manifest, load_sample, manifest_path, mask_landmark_patches
 from palnet.model import get_spec, init_params, load_checkpoint
 from palnet.pgm import read_pgm
-from palnet.train import CSV_COLUMNS, TrainConfig, evaluate, train
+from palnet.train import CSV_COLUMNS, TrainConfig, TrainError, evaluate, train
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +215,19 @@ def test_ablation_grid_rows_and_aggregates(tmp_path, micro_dataset):
         run_grid(grid, seeds=[0], base=base, out_dir=str(tmp_path))
 
 
+def test_ablation_grid_records_invalid_cells_and_goes_on(tmp_path, micro_dataset):
+    base = dict(train_manifest=micro_dataset["train"], test_manifest=micro_dataset["test"],
+                epochs=1, augment=False)
+    grid = [{"method": "bogus"}, {"epoch": 2}, {"method": "none", "total_steps": 1}]
+    rows = run_grid(grid, seeds=[0, 1], base=base, out_dir=str(tmp_path))
+    status = {(r["config_id"], r["seed"]): r["status"] for r in rows}
+    assert status[("method=bogus", 0)].startswith("error: method must be one of")
+    assert status[("epoch=2", 1)] == "error: config: unknown field 'epoch'"
+    assert status[("baseline", 0)] == status[("baseline", 1)] == "ok"
+    assert status[("baseline", "aggregate")] == "n=2"
+    assert len(rows) == 7
+
+
 def test_aggregate_interval_formula():
     rows = [
         {"config_id": "c", "seed": s, "test_acc": v, "attr_prior_corr": v / 2,
@@ -274,3 +287,17 @@ def test_cli_config_file_with_overrides(tmp_path, micro_dataset):
         record = json.load(fh)
     assert record["config_id"] == "baseline"
     assert record["seed"] == 2
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda cfg: cfg.update(epoch=2), "unknown field 'epoch'"),
+    (lambda cfg: cfg.pop("test_manifest"), "missing field 'test_manifest'"),
+], ids=["unknown", "missing"])
+def test_cli_config_file_names_a_bad_field(tmp_path, micro_dataset, edit, match):
+    cfg = {"train_manifest": micro_dataset["train"], "test_manifest": micro_dataset["test"]}
+    edit(cfg)
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    with pytest.raises(TrainError, match=match):
+        cli_main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")])

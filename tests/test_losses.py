@@ -39,7 +39,7 @@ def test_standardize_attr_gradient_matches_finite_diff():
     prior = standardized_prior(rng, 3, 3)
 
     def loss(t):
-        z = standardize_attr(t.reshape(a0.shape))
+        z = standardize_attr(ad.reshape(t, a0.shape))
         return ad.reduce_sum(ad.mul(z, Tensor(prior.reshape(1, 1, 3, 3))))
 
     tape = Tape()

@@ -17,6 +17,7 @@ from palnet.model import (
     get_spec,
     init_params,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
     softmax_cross_entropy,
     tiny16,
@@ -56,6 +57,13 @@ def test_default_spec_taps_match_shape_oracle():
 
 def test_default_spec_is_small():
     assert toy64().param_count() < 200_000
+
+
+@pytest.mark.parametrize("spec", [tiny16(), toy64(bias=False)])
+def test_param_shapes_are_what_init_builds(spec):
+    params = init_params(spec, 0)
+    assert {k: v.shape for k, v in params.items()} == param_shapes(spec)
+    assert spec.param_count() == sum(v.size for v in params.values())
 
 
 def test_bad_specs_rejected():
@@ -292,4 +300,20 @@ def test_checkpoint_gap_or_short_payload_rejected(tmp_path):
         load_checkpoint(path)
     _write_raw_checkpoint(path, b"[]\n", payload)
     with pytest.raises(ModelError, match="corrupt checkpoint"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda p: p.pop("conv1.bias"), "entry 'conv1.bias' has shape None"),
+    (lambda p: p.update({"head.weight": p["head.weight"].T.copy()}),
+     r"entry 'head.weight' has shape \(3, 384\), the spec's parameter has \(384, 3\)"),
+    (lambda p: p.update({"conv3.weight": np.zeros((1, 1, 3, 3))}), "entry 'conv3.weight'"),
+], ids=["missing", "misshaped", "extra"])
+def test_checkpoint_entries_must_match_the_spec(tmp_path, edit, match):
+    # the payload is well formed; only the entries disagree with the spec
+    path = str(tmp_path / "model.ckpt")
+    params = init_params(tiny16(), 0)
+    edit(params)
+    save_checkpoint(path, tiny16(), params)
+    with pytest.raises(ModelError, match=match):
         load_checkpoint(path)
