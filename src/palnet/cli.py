@@ -9,12 +9,15 @@ import sys
 import numpy as np
 
 from .ablation import run_grid, write_csv
-from .attribution import GRAD_INPUT, ChannelStrategy, attribution, channel_slice_mean, export_map_pgm, reduce_channels
+from .attribution import (GRAD_INPUT, AttributionError, ChannelStrategy, attribution,
+                          channel_slice_mean, export_map_pgm, reduce_channels)
 from .autodiff import Tape
-from .data import generate_dataset, load_manifest, load_sample, manifest_path
+from .data import DataError, generate_dataset, load_manifest, load_sample, manifest_path
 from .gradcheck import format_report, run_gradcheck
-from .model import forward, load_checkpoint
-from .train import TrainConfig, evaluate, train
+from .heatmap import HeatmapError
+from .model import ModelError, forward, load_checkpoint
+from .pgm import PgmError
+from .train import TrainConfig, TrainError, evaluate, train
 
 
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
@@ -82,9 +85,8 @@ def cmd_eval(args) -> int:
     spec, params = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     if manifest.n_classes != spec.n_classes:
-        print(f"error: checkpoint has {spec.n_classes} classes, "
-              f"dataset has {manifest.n_classes}", file=sys.stderr)
-        return 2
+        raise DataError(f"checkpoint has {spec.n_classes} classes, "
+                        f"dataset has {manifest.n_classes}")
     samples = [load_sample(manifest, i) for i in range(len(manifest))]
     strategy = ChannelStrategy.parse(args.strategy)
     acc, confusion, corr = evaluate(
@@ -212,7 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (TrainError, ModelError, DataError, AttributionError, HeatmapError, PgmError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Synthetic keypoint-classification dataset, on-disk format, and augmentation.
+"""Synthetic keypoint-classification dataset, its on-disk format, and augmentation.
 
 Every sample is a grayscale canvas with five face-like keypoints (two eyes,
 a nose, two mouth corners).  The class is encoded *only* by small bar patterns
@@ -6,6 +6,10 @@ stamped at the eye and mouth keypoints (bar angle and single-vs-double bars,
 all chosen to be invariant under the flip augmentation); distractor bars with
 random orientations are scattered elsewhere, so whatever the model learns to
 read, the causal evidence sits exactly at the landmark positions.
+
+A split is two files: `{split}_images.pgm`, its n images stacked into one
+(n * height, width) grayscale sheet, and `{split}_manifest.json`, which names
+the sheet and holds the labels and the landmarks.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heatmap import LandmarkSet, load_landmarks, save_landmarks, transform_landmarks
+from .heatmap import LandmarkSet, transform_landmarks
 from .pgm import read_pgm, to_unit_float, write_pgm
 from .seeding import stream
 
@@ -33,24 +37,18 @@ class Sample:
 
 
 @dataclass
-class ManifestEntry:
-    image: str
-    landmarks: str
-    label: int
-
-
-@dataclass
 class DatasetManifest:
-    root: str
-    entries: list
     n_classes: int
     split: str
     height: int
     width: int
     n_landmarks: int
+    images: np.ndarray     # (n, height, width) uint8, the sheet's rows per image
+    labels: list           # n ints in [0, n_classes)
+    landmarks: np.ndarray  # (n, n_landmarks, 2) float64, (x, y) per keypoint
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.labels)
 
 
 PATCH = 9          # side of the evidence patch stamped at a keypoint
@@ -161,57 +159,68 @@ def render_sample(seed: int, index: int, label: int, n_classes: int,
 def generate_dataset(out_dir: str, seed: int, n: int, n_classes: int = 7,
                      height: int = 64, width: int = 64, n_landmarks: int = 5,
                      split: str = "train") -> DatasetManifest:
-    """Write n class-balanced samples plus a manifest; byte-deterministic per seed."""
+    """Write n class-balanced samples as a sheet plus a manifest; byte-deterministic per seed."""
     if n < n_classes:
         raise DataError(f"need at least {n_classes} samples for {n_classes} classes")
     os.makedirs(out_dir, exist_ok=True)
-    split_seed = stream(seed, "split", split).integers(0, 2**63 - 1)
-    entries = []
-    for index in range(n):
-        label = index % n_classes
-        sample = render_sample(int(split_seed), index, label, n_classes, height, width, n_landmarks)
-        img_name = f"{split}_{index:05d}.pgm"
-        lm_name = f"{split}_{index:05d}.txt"
-        write_pgm(os.path.join(out_dir, img_name), sample.image * 255.0)
-        save_landmarks(os.path.join(out_dir, lm_name), sample.landmarks)
-        entries.append(ManifestEntry(img_name, lm_name, label))
-    manifest = DatasetManifest(
-        root=out_dir, entries=entries, n_classes=n_classes, split=split,
-        height=height, width=width, n_landmarks=n_landmarks,
-    )
-    payload = {
-        "format": "palnet-dataset",
-        "n_classes": n_classes,
-        "split": split,
-        "height": height,
-        "width": width,
-        "n_landmarks": n_landmarks,
-        "entries": [{"image": e.image, "landmarks": e.landmarks, "label": e.label} for e in entries],
-    }
+    split_seed = int(stream(seed, "split", split).integers(0, 2**63 - 1))
+    labels = [index % n_classes for index in range(n)]
+    images = np.empty((n, height, width), dtype=np.uint8)
+    landmarks = []
+    for index, label in enumerate(labels):
+        sample = render_sample(split_seed, index, label, n_classes, height, width, n_landmarks)
+        images[index] = np.clip(np.rint(sample.image * 255.0), 0, 255)  # as write_pgm rounds
+        # six decimals, as `f"{v:.6f}"` gives; JSON writes such a float back exactly
+        landmarks.append([[round(x, 6), round(y, 6)] for x, y in sample.landmarks.points.tolist()])
+    sheet = f"{split}_images.pgm"
+    write_pgm(os.path.join(out_dir, sheet), images.reshape(n * height, width))
+    payload = {"format": "palnet-dataset", "n_classes": n_classes, "split": split,
+               "height": height, "width": width, "n_landmarks": n_landmarks,
+               "images": sheet, "labels": labels, "landmarks": landmarks}
     with open(manifest_path(out_dir, split), "w") as fh:
-        json.dump(payload, fh, indent=1)
-    return manifest
+        json.dump(payload, fh)
+    return DatasetManifest(n_classes, split, height, width, n_landmarks, images, labels,
+                           np.array(landmarks))
 
 
 def manifest_path(out_dir: str, split: str) -> str:
     return os.path.join(out_dir, f"{split}_manifest.json")
 
 
-def _manifest_field(path: str, obj, key: str, kind: type, where: str):
-    """obj[key], checked to be a `kind`; anything else is a named DataError."""
-    if not isinstance(obj, dict):
-        raise DataError(f"corrupt manifest {path}: {where} is not a JSON object")
-    if key not in obj:
-        raise DataError(f"corrupt manifest {path}: {where} has no field '{key}'")
-    value = obj[key]
+def _manifest_field(path: str, payload, key: str, kind: type):
+    """payload[key], checked to be a `kind`; anything else is a named DataError."""
+    if not isinstance(payload, dict):
+        raise DataError(f"corrupt manifest {path}: the manifest is not a JSON object")
+    if key not in payload:
+        raise DataError(f"corrupt manifest {path}: the manifest has no field '{key}'")
+    value = payload[key]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise DataError(f"corrupt manifest {path}: field '{key}' of {where} should be "
+        raise DataError(f"corrupt manifest {path}: field '{key}' of the manifest should be "
                         f"{kind.__name__}, got {type(value).__name__}")
     return value
 
 
+def _landmark_array(path: str, value: list, shape: tuple) -> np.ndarray:
+    """The manifest's landmarks as a finite float64 array of `shape`."""
+    try:
+        arr = np.array(value)
+    except ValueError:
+        raise DataError(f"corrupt manifest {path}: field 'landmarks' is ragged") from None
+    if arr.dtype.kind not in "iuf":
+        raise DataError(f"corrupt manifest {path}: field 'landmarks' should hold numbers, "
+                        f"got {arr.dtype}")
+    if arr.shape != shape:
+        raise DataError(f"corrupt manifest {path}: field 'landmarks' is {arr.shape}, "
+                        f"expected (n, n_landmarks, 2) = {shape}")
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise DataError(f"corrupt manifest {path}: field 'landmarks' holds NaN/Inf")
+    return arr
+
+
 def load_manifest(path: str) -> DatasetManifest:
-    """Load and validate: fields present, files exist, labels in range, every class present."""
+    """Load and validate: fields present and typed, labels in range, every class
+    present, landmarks finite and (n, n_landmarks, 2), the sheet n images high."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -219,45 +228,36 @@ def load_manifest(path: str) -> DatasetManifest:
         raise DataError(f"manifest not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"corrupt manifest {path}: {exc}") from exc
-    root = os.path.dirname(os.path.abspath(path))
-    top = {key: _manifest_field(path, payload, key, kind, "the manifest")
+    top = {key: _manifest_field(path, payload, key, kind)
            for key, kind in (("n_classes", int), ("split", str), ("height", int),
-                             ("width", int), ("n_landmarks", int), ("entries", list))}
-    n_classes = top["n_classes"]
-    entries = []
-    seen = set()
-    for i, e in enumerate(top["entries"]):
-        where = f"entry {i}"
-        entry = ManifestEntry(_manifest_field(path, e, "image", str, where),
-                              _manifest_field(path, e, "landmarks", str, where),
-                              _manifest_field(path, e, "label", int, where))
-        if not 0 <= entry.label < n_classes:
-            raise DataError(
-                f"{path}: entry '{entry.image}' has label {entry.label} outside [0, {n_classes})"
-            )
-        for rel in (entry.image, entry.landmarks):
-            if not os.path.exists(os.path.join(root, rel)):
-                raise DataError(f"{path}: referenced file missing: {rel}")
-        seen.add(entry.label)
-        entries.append(entry)
-    if seen != set(range(n_classes)):
-        missing = sorted(set(range(n_classes)) - seen)
+                             ("width", int), ("n_landmarks", int), ("images", str),
+                             ("labels", list), ("landmarks", list))}
+    n_classes, labels = top["n_classes"], top["labels"]
+    for i, label in enumerate(labels):
+        if type(label) is not int:
+            raise DataError(f"corrupt manifest {path}: label {i} should be int, "
+                            f"got {type(label).__name__}")
+        if not 0 <= label < n_classes:
+            raise DataError(f"{path}: sample {i} has label {label} outside [0, {n_classes})")
+    missing = sorted(set(range(n_classes)) - set(labels))
+    if missing:
         raise DataError(f"{path}: classes {missing} have no samples")
-    return DatasetManifest(
-        root=root, entries=entries, n_classes=n_classes, split=top["split"],
-        height=top["height"], width=top["width"], n_landmarks=top["n_landmarks"],
-    )
+    n, height, width = len(labels), top["height"], top["width"]
+    landmarks = _landmark_array(path, top["landmarks"], (n, top["n_landmarks"], 2))
+    try:
+        sheet = read_pgm(os.path.join(os.path.dirname(os.path.abspath(path)), top["images"]))
+    except FileNotFoundError:
+        raise DataError(f"{path}: image sheet missing: {top['images']}") from None
+    if sheet.shape != (n * height, width):
+        raise DataError(f"{path}: image sheet {top['images']} is {sheet.shape}, expected "
+                        f"{(n * height, width)} for {n} images of {height}x{width}")
+    return DatasetManifest(n_classes, top["split"], height, width, top["n_landmarks"],
+                           sheet.reshape(n, height, width), labels, landmarks)
 
 
 def load_sample(manifest: DatasetManifest, index: int) -> Sample:
-    entry = manifest.entries[index]
-    img = to_unit_float(read_pgm(os.path.join(manifest.root, entry.image)))
-    if img.shape != (manifest.height, manifest.width):
-        raise DataError(f"{entry.image}: image is {img.shape}, manifest says "
-                        f"{(manifest.height, manifest.width)}")
-    lms = load_landmarks(os.path.join(manifest.root, entry.landmarks),
-                         expected_count=manifest.n_landmarks)
-    return Sample(img, lms, entry.label)
+    return Sample(to_unit_float(manifest.images[index]),
+                  LandmarkSet(manifest.landmarks[index].copy()), manifest.labels[index])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Landmark heatmap priors: Gaussian rendering, standardization.
 
+A `LandmarkSet` holds one image's keypoints; datasets store them in their
+manifest (see `palnet.data`), and augmentation moves them with
+`transform_landmarks`.
+
 The Gaussian map is evaluated in closed form at every pixel (supports
 sub-pixel landmark coordinates); the 1-D normalization constant 1/sqrt(2*pi*s^2)
 is kept even though the map is 2-D, since standardization cancels any global
@@ -107,30 +111,3 @@ def build_prior(
     if tap_hw is not None and tuple(tap_hw) != prior.shape:
         prior = match_resolution(prior, *tap_hw)
     return prior
-
-
-# landmark file format: one "x y" pair per line, real-valued
-
-
-def save_landmarks(path: str, lms: LandmarkSet) -> None:
-    with open(path, "w") as fh:
-        for x, y in lms.points:
-            fh.write(f"{x:.6f} {y:.6f}\n")
-
-
-def load_landmarks(path: str, expected_count: int | None = None) -> LandmarkSet:
-    points = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise HeatmapError(f"{path}:{line_no}: expected 'x y', got {line!r}")
-            points.append((float(parts[0]), float(parts[1])))
-    if expected_count is not None and len(points) != expected_count:
-        raise HeatmapError(
-            f"{path}: expected {expected_count} landmarks, found {len(points)}"
-        )
-    return LandmarkSet(np.asarray(points, dtype=np.float64).reshape(-1, 2))

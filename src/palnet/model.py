@@ -277,9 +277,12 @@ def write_atomic(path: str, chunks: list[bytes]) -> None:
 def load_checkpoint(path: str) -> tuple[ModelSpec, Parameters]:
     """Read a checkpoint; its entries must tile the payload exactly, be finite,
     and have the names and shapes of the spec's parameters."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+            payload = fh.read()
+    except FileNotFoundError:
+        raise ModelError(f"checkpoint not found: {path}") from None
     try:
         header = json.loads(header_line.decode())
         spec = spec_from_dict(header["spec"])

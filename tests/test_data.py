@@ -56,17 +56,59 @@ def test_generation_is_byte_deterministic(tmp_path):
     assert _dir_digest(a) != _dir_digest(c)
 
 
-@pytest.mark.parametrize("kwargs,digest", [
-    (dict(seed=0, n=14, split="train"),
-     "d4d25d8d3e9e75a25fe6665caef5d61cc579e104336066a8225ae3669855e3e1"),
-    (dict(seed=3, n=16, split="test", height=40, width=52, n_landmarks=9),
-     "d93b3d891f8b5cc996a2a9617667719361a0f8f34f224a4fc636027b37b574e1"),
-])
+PINNED = [dict(seed=0, n=14, split="train"),
+          dict(seed=3, n=16, split="test", height=40, width=52, n_landmarks=9)]
+
+
+@pytest.mark.parametrize("kwargs,digest", zip(PINNED, [
+    "07db39adf740b5a73c79840ee533b144da517a8bb9e022f6cb2ed3cc01def4ab",
+    "0064659339fa7db222e5cbf580d7bd73d8c11a2131d4ee89d14479f680a4503a",
+]))
 def test_generation_bytes_are_pinned(tmp_path, kwargs, digest):
-    # every PGM, landmark file and manifest; bit-identical on one machine and
-    # one NumPy build, not promised across CPUs
+    # the image sheet and the manifest; bit-identical on one machine and one
+    # NumPy build, not promised across CPUs
     generate_dataset(str(tmp_path), **kwargs)
     assert _dir_digest(str(tmp_path)) == digest
+
+
+@pytest.mark.parametrize("kwargs,digest", zip(PINNED, [
+    "262373dd41b31114455ea6bd1322a901891c2217e32a2fd4e3623bbe081e2808",
+    "ec1735adb9f58d1a78466dd4fca52b779603d4e34163616422d1783cd91b6b50",
+]))
+def test_generation_content_is_pinned(tmp_path, kwargs, digest):
+    # what training reads, whatever the file layout: every loaded image,
+    # landmark array and label in index order
+    generate_dataset(str(tmp_path), **kwargs)
+    manifest = load_manifest(manifest_path(str(tmp_path), kwargs["split"]))
+    h = hashlib.sha256()
+    for i in range(len(manifest)):
+        sample = load_sample(manifest, i)
+        h.update(sample.image.tobytes())
+        h.update(sample.landmarks.points.tobytes())
+        h.update(np.int64(sample.label).tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_generation_writes_two_files_per_split(tmp_path):
+    generate_dataset(str(tmp_path), seed=0, n=21, split="train")
+    generate_dataset(str(tmp_path), seed=0, n=7, split="test")
+    assert sorted(os.listdir(tmp_path)) == ["test_images.pgm", "test_manifest.json",
+                                            "train_images.pgm", "train_manifest.json"]
+    assert read_pgm(str(tmp_path / "train_images.pgm")).shape == (21 * 64, 64)
+
+
+def test_loaded_samples_are_the_rendered_ones(tmp_path):
+    generate_dataset(str(tmp_path), seed=2, n=9, split="train", height=40, width=44, n_landmarks=7)
+    manifest = load_manifest(manifest_path(str(tmp_path), "train"))
+    split_seed = int(stream(2, "split", "train").integers(0, 2**63 - 1))
+    for i in range(len(manifest)):
+        want = render_sample(split_seed, i, i % 7, 7, 40, 44, 7)
+        got = load_sample(manifest, i)
+        assert got.label == want.label
+        npt.assert_array_equal(got.image, to_unit_float(
+            np.clip(np.rint(want.image * 255.0), 0, 255).astype(np.uint8)))
+        rounded = [[round(v, 6) for v in p] for p in want.landmarks.points.tolist()]
+        assert got.landmarks.points.tolist() == rounded
 
 
 def _ref_stamp_bar(canvas, cx, cy, angle_deg, doubled=False):
@@ -128,16 +170,14 @@ def test_one_pass_stamp_matches_reference_on_overlapping_bars():
 
 def test_labels_exactly_balanced(tmp_path):
     manifest = generate_dataset(str(tmp_path), seed=0, n=70, split="train")
-    counts = np.bincount([e.label for e in manifest.entries], minlength=7)
+    counts = np.bincount(manifest.labels, minlength=7)
     npt.assert_array_equal(counts, np.full(7, 10))
 
 
 def test_split_streams_are_disjoint(tmp_path):
-    generate_dataset(str(tmp_path / "x"), seed=0, n=7, split="train")
-    generate_dataset(str(tmp_path / "y"), seed=0, n=7, split="test")
-    a = read_pgm(str(tmp_path / "x" / "train_00000.pgm"))
-    b = read_pgm(str(tmp_path / "y" / "test_00000.pgm"))
-    assert not np.array_equal(a, b)
+    a = generate_dataset(str(tmp_path / "x"), seed=0, n=7, split="train")
+    b = generate_dataset(str(tmp_path / "y"), seed=0, n=7, split="test")
+    assert not np.array_equal(a.images[0], b.images[0])
 
 
 def test_generation_preconditions(tmp_path):
@@ -193,27 +233,6 @@ def test_manifest_round_trip_and_validation(tmp_path):
     assert sample.label == 3
 
 
-def test_manifest_missing_file_is_named(tmp_path):
-    root = str(tmp_path)
-    generate_dataset(root, seed=0, n=7, split="train")
-    os.remove(os.path.join(root, "train_00002.txt"))
-    with pytest.raises(DataError, match="train_00002.txt"):
-        load_manifest(manifest_path(root, "train"))
-
-
-def test_manifest_label_out_of_range(tmp_path):
-    root = str(tmp_path)
-    generate_dataset(root, seed=0, n=7, split="train")
-    path = manifest_path(root, "train")
-    with open(path) as fh:
-        payload = json.load(fh)
-    payload["entries"][0]["label"] = 9
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    with pytest.raises(DataError, match="label 9"):
-        load_manifest(path)
-
-
 def _rewrite_manifest(path, edit):
     with open(path) as fh:
         payload = json.load(fh)
@@ -222,35 +241,62 @@ def _rewrite_manifest(path, edit):
         json.dump(payload, fh)
 
 
+def _split7(tmp_path):
+    """Manifest path of a generated 7-sample train split."""
+    generate_dataset(str(tmp_path), seed=0, n=7, split="train")
+    return manifest_path(str(tmp_path), "train")
+
+
+def test_manifest_missing_file_is_named(tmp_path):
+    path = _split7(tmp_path)
+    os.remove(str(tmp_path / "train_images.pgm"))
+    with pytest.raises(DataError, match="image sheet missing: train_images.pgm"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("label,message", [
+    (9, r"sample 3 has label 9 outside \[0, 7\)"),
+    (-1, r"sample 3 has label -1 outside \[0, 7\)"),
+    ("1", "label 3 should be int, got str"),
+    (True, "label 3 should be int, got bool"),
+    (1.0, "label 3 should be int, got float"),
+    (None, "label 3 should be int, got NoneType"),
+    (0, r"classes \[3\] have no samples"),
+], ids=["above", "below", "str", "bool", "float", "null", "empty-class"])
+def test_manifest_bad_label_is_named(tmp_path, label, message):
+    path = _split7(tmp_path)
+
+    def edit(p):
+        p["labels"][3] = label
+        return p
+
+    _rewrite_manifest(path, edit)
+    with pytest.raises(DataError, match=message):
+        load_manifest(path)
+
+
 @pytest.mark.parametrize("field", ["n_classes", "split", "height", "width", "n_landmarks",
-                                   "entries"])
+                                   "images", "labels", "landmarks"])
 def test_manifest_missing_top_level_field_is_named(tmp_path, field):
-    root = str(tmp_path)
-    generate_dataset(root, seed=0, n=7, split="train")
-    path = manifest_path(root, "train")
+    path = _split7(tmp_path)
     _rewrite_manifest(path, lambda p: {k: v for k, v in p.items() if k != field})
     with pytest.raises(DataError, match=f"train_manifest.json: the manifest has no field '{field}'"):
         load_manifest(path)
 
 
-@pytest.mark.parametrize("field", ["image", "landmarks", "label"])
-def test_manifest_missing_entry_field_is_named(tmp_path, field):
-    root = str(tmp_path)
-    generate_dataset(root, seed=0, n=7, split="train")
-    path = manifest_path(root, "train")
-
-    def drop(p):
-        del p["entries"][2][field]
-        return p
-
-    _rewrite_manifest(path, drop)
-    with pytest.raises(DataError, match=f"entry 2 has no field '{field}'"):
-        load_manifest(path)
+HEADER = {"n_classes": 7, "split": "train", "height": 64, "width": 64, "n_landmarks": 5}
 
 
 @pytest.mark.parametrize("payload,message", [
     ([1, 2, 3], "the manifest is not a JSON object"),
     ({"n_classes": "7"}, "field 'n_classes' of the manifest should be int, got str"),
+    ({**HEADER, "height": 64.0}, "field 'height' of the manifest should be int, got float"),
+    ({**HEADER, "images": ["train_images.pgm"]},
+     "field 'images' of the manifest should be str, got list"),
+    ({**HEADER, "images": "s.pgm", "labels": "0123456"},
+     "field 'labels' of the manifest should be list, got str"),
+    ({**HEADER, "images": "s.pgm", "labels": [], "landmarks": {"x": 1}},
+     "field 'landmarks' of the manifest should be list, got dict"),
 ])
 def test_manifest_wrong_json_shape_is_a_data_error(tmp_path, payload, message):
     path = str(tmp_path / "train_manifest.json")
@@ -260,28 +306,57 @@ def test_manifest_wrong_json_shape_is_a_data_error(tmp_path, payload, message):
         load_manifest(path)
 
 
-def test_manifest_entry_not_an_object(tmp_path):
-    root = str(tmp_path)
-    generate_dataset(root, seed=0, n=7, split="train")
-    path = manifest_path(root, "train")
-
-    def replace(p):
-        p["entries"][0] = "train_00000.pgm"
+def _edit_landmarks(change):
+    def edit(p):
+        change(p["landmarks"])
         return p
+    return edit
 
-    _rewrite_manifest(path, replace)
-    with pytest.raises(DataError, match="entry 0 is not a JSON object"):
+
+@pytest.mark.parametrize("edit,message", [
+    (_edit_landmarks(lambda lm: lm[0].append([1.0, 1.0])), "field 'landmarks' is ragged"),
+    (_edit_landmarks(lambda lm: [pts.append([1.0, 1.0]) for pts in lm]),
+     r"field 'landmarks' is \(7, 6, 2\), expected \(n, n_landmarks, 2\) = \(7, 5, 2\)"),
+    (_edit_landmarks(lambda lm: lm.pop()), r"field 'landmarks' is \(6, 5, 2\)"),
+    (lambda p: {**p, "landmarks": [[[[1.0, 2.0]]] * 5] * 7},
+     r"field 'landmarks' is \(7, 5, 1, 2\)"),
+    (_edit_landmarks(lambda lm: lm[2][1].__setitem__(0, float("nan"))),
+     "field 'landmarks' holds NaN/Inf"),
+    (_edit_landmarks(lambda lm: lm[6][4].__setitem__(1, float("-inf"))),
+     "field 'landmarks' holds NaN/Inf"),
+    (_edit_landmarks(lambda lm: lm[0][0].__setitem__(0, "3.5")),
+     "field 'landmarks' should hold numbers"),
+    (_edit_landmarks(lambda lm: lm[0][0].__setitem__(0, None)),
+     "field 'landmarks' should hold numbers"),
+], ids=["ragged", "count", "samples", "depth", "nan", "inf", "string", "null"])
+def test_manifest_bad_landmarks_are_named(tmp_path, edit, message):
+    path = _split7(tmp_path)
+    _rewrite_manifest(path, edit)
+    with pytest.raises(DataError, match=message):
         load_manifest(path)
 
 
-def test_landmark_count_mismatch(tmp_path):
-    root = str(tmp_path)
-    generate_dataset(root, seed=0, n=7, split="train")
-    with open(os.path.join(root, "train_00000.txt"), "a") as fh:
-        fh.write("1.0 1.0\n")
-    manifest = load_manifest(manifest_path(root, "train"))
-    with pytest.raises(Exception, match="landmarks"):
-        load_sample(manifest, 0)
+@pytest.mark.parametrize("rows,cols,message", [
+    (6 * 64, 64, r"is \(384, 64\), expected \(448, 64\) for 7 images of 64x64"),
+    (7 * 64, 63, r"is \(448, 63\), expected \(448, 64\)"),
+    (7 * 64 + 1, 64, r"is \(449, 64\)"),
+])
+def test_manifest_sheet_shape_is_checked(tmp_path, rows, cols, message):
+    path = _split7(tmp_path)
+    write_pgm(str(tmp_path / "train_images.pgm"), np.zeros((rows, cols), dtype=np.uint8))
+    with pytest.raises(DataError, match=message):
+        load_manifest(path)
+
+
+def test_manifest_corrupt_sheet_is_a_pgm_error(tmp_path):
+    path = _split7(tmp_path)
+    sheet = str(tmp_path / "train_images.pgm")
+    with open(sheet, "rb") as fh:
+        data = fh.read()
+    with open(sheet, "wb") as fh:
+        fh.write(data[:-1])
+    with pytest.raises(PgmError, match="pixel bytes"):
+        load_manifest(path)
 
 
 # ---------------------------------------------------------------------------

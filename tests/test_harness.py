@@ -13,9 +13,9 @@ from palnet.ablation import aggregate_rows, run_grid
 from palnet.attribution import ChannelStrategy
 from palnet.cli import main as cli_main
 from palnet.data import generate_dataset, load_manifest, load_sample, manifest_path, mask_landmark_patches
-from palnet.model import get_spec, init_params, load_checkpoint
+from palnet.model import get_spec, init_params, load_checkpoint, save_checkpoint
 from palnet.pgm import read_pgm
-from palnet.train import CSV_COLUMNS, TrainConfig, TrainError, evaluate, train
+from palnet.train import CSV_COLUMNS, TrainConfig, evaluate, train
 
 
 @pytest.fixture(scope="module")
@@ -293,11 +293,34 @@ def test_cli_config_file_with_overrides(tmp_path, micro_dataset):
     (lambda cfg: cfg.update(epoch=2), "unknown field 'epoch'"),
     (lambda cfg: cfg.pop("test_manifest"), "missing field 'test_manifest'"),
 ], ids=["unknown", "missing"])
-def test_cli_config_file_names_a_bad_field(tmp_path, micro_dataset, edit, match):
+def test_cli_config_file_names_a_bad_field(tmp_path, micro_dataset, edit, match, capsys):
     cfg = {"train_manifest": micro_dataset["train"], "test_manifest": micro_dataset["test"]}
     edit(cfg)
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
-    with pytest.raises(TrainError, match=match):
-        cli_main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")])
+    rc = cli_main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: config: {match}\n"
+
+
+def test_cli_missing_checkpoint_is_one_error_line(tmp_path, micro_dataset, capsys):
+    path = str(tmp_path / "absent.ckpt")
+    rc = cli_main(["eval", "--checkpoint", path, "--manifest", micro_dataset["test"]])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: checkpoint not found: {path}\n"
+
+
+@pytest.mark.parametrize("n_classes,manifest,message", [
+    (7, None, "manifest not found: {path}"),
+    (3, "test", "checkpoint has 3 classes, dataset has 7"),
+], ids=["missing-manifest", "class-mismatch"])
+def test_cli_eval_bad_manifest_is_one_error_line(tmp_path, micro_dataset, capsys,
+                                                 n_classes, manifest, message):
+    spec = get_spec("toy64", n_classes=n_classes)
+    ckpt = str(tmp_path / "init.ckpt")
+    save_checkpoint(ckpt, spec, init_params(spec, seed=0))
+    path = micro_dataset[manifest] if manifest else str(tmp_path / "absent_manifest.json")
+    rc = cli_main(["eval", "--checkpoint", ckpt, "--manifest", path])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"

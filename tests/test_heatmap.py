@@ -12,9 +12,7 @@ from palnet.heatmap import (
     LandmarkSet,
     build_prior,
     gaussian_heatmap,
-    load_landmarks,
     match_resolution,
-    save_landmarks,
     standardize_map,
     transform_landmarks,
 )
@@ -163,7 +161,7 @@ def test_flip_equivariance_of_gaussian():
 
 
 # ---------------------------------------------------------------------------
-# full pipeline and file format
+# full pipeline
 # ---------------------------------------------------------------------------
 
 
@@ -172,13 +170,3 @@ def test_build_prior_is_standardized_at_tap_resolution():
     assert prior.shape == (16, 16)
     assert abs(prior.mean()) < 1e-9
     assert abs(prior.var() - 1.0) < 1e-9
-
-
-def test_landmark_file_round_trip(tmp_path):
-    pts = lms((1.25, 2.5), (63.0, 0.0))
-    path = str(tmp_path / "lms.txt")
-    save_landmarks(path, pts)
-    back = load_landmarks(path, expected_count=2)
-    npt.assert_allclose(back.points, pts.points, atol=1e-6)
-    with pytest.raises(HeatmapError, match="expected 3 landmarks"):
-        load_landmarks(path, expected_count=3)
