@@ -14,12 +14,18 @@ Conventions baked in here:
   * d|x|/dx at 0 is 0, dReLU/dx at 0 is 0,
   * max-pool routes gradient to the first argmax in row-major window order
     and treats that selection as locally constant,
-  * non-finite values raise instead of propagating.
+  * non-finite values raise instead of propagating: every op that can make
+    NaN/Inf checks its own output and raises `NonFiniteError` naming itself.
+    NumPy's floating-point warnings are silenced for that check with one
+    ``np.errstate`` per op, or one per `backward` pass and per
+    `train.training_loss` (`_fp_scope`), inside which ops skip their own.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -151,6 +157,25 @@ def _register(kind: str, eval: Callable, vjp: Callable, **facts) -> None:
     _VJP[kind] = vjp
 
 
+# set inside `_fp_scope`; a ContextVar is per thread and per task, as errstate is
+_FP_QUIET: ContextVar[bool] = ContextVar("_FP_QUIET", default=False)
+
+
+@contextmanager
+def _fp_scope():
+    """Silence NumPy's floating-point warnings once for a whole pass of ops.
+
+    Each op still checks its own output and raises `NonFiniteError` naming
+    itself; inside this scope it only skips entering ``np.errstate`` again.
+    """
+    token = _FP_QUIET.set(True)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    finally:
+        _FP_QUIET.reset(token)
+
+
 def _value(x) -> np.ndarray:
     if isinstance(x, Tensor):
         return x.data
@@ -172,14 +197,15 @@ def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
         else:
             values.append(np.asarray(x, dtype=np.float64))
     op = _OPS[kind]
-    if not op.check_finite:
-        # data movement raises no floating-point warning on NaN/Inf operands
+    if not op.check_finite or _FP_QUIET.get():
+        # data movement raises no floating-point warning on NaN/Inf operands,
+        # and inside `_fp_scope` the errstate is already entered
         out = op.eval(values, ctx)
     else:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = op.eval(values, ctx)
-        if not np.isfinite(out).all():
-            raise NonFiniteError(f"op '{kind}' produced non-finite values")
+    if op.check_finite and not np.isfinite(out).all():
+        raise NonFiniteError(f"op '{kind}' produced non-finite values")
     if tape is None or not tape.recording:
         return Tensor(out)
     nodes = tape.nodes
@@ -188,7 +214,11 @@ def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
         if isinstance(x, Tensor) and x.tape is tape and x.node is not None:
             ids.append(x.node)
         else:
-            ids.append(tape.leaf(v).node)
+            # a constant operand: the leaf `Tape.leaf` would record, with no Tensor
+            if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(v).all()):
+                raise NonFiniteError("leaf value contains NaN/Inf")
+            ids.append(len(nodes))
+            nodes.append(Node("leaf", (), None, v.shape, None))
     for i in op.keep_inputs:
         nodes[ids[i]].value = values[i]
     nodes.append(Node(kind, tuple(ids), out if op.keep_output else None, out.shape, ctx))
@@ -748,7 +778,7 @@ def backward(out: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> 
 
     results: dict[int, Tensor] = {}
     if needed[limit]:
-        with nullcontext() if create_graph else tape.paused():
+        with _fp_scope(), nullcontext() if create_graph else tape.paused():
             seed = np.ones(out.shape)
             grads: dict[int, Tensor] = {limit: tape.leaf(seed) if create_graph else Tensor(seed)}
             for nid in range(limit, -1, -1):

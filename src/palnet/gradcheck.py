@@ -71,9 +71,10 @@ def run_gradcheck(
             def objective(t):
                 trial = dict(params)
                 trial[name] = t.data
-                # forward only: the finite differences need no backward
+                # values only: the finite differences need no backward
                 return training_loss(
-                    spec, trial, images, labels, use_priors, tap, method, strategy, pal_weight
+                    spec, trial, images, labels, use_priors, tap, method, strategy, pal_weight,
+                    create_graph=False,
                 )[0].total
 
             fd = ad.finite_diff(objective, params[name], eps).data

@@ -137,20 +137,32 @@ def training_loss(
     method: str,
     strategy: ChannelStrategy,
     weight: float,
+    create_graph: bool = True,
 ):
     """Cross-entropy plus (optionally) the attribution prior term.
 
-    Returns (LossBreakdown, ForwardTrace); the breakdown's tensor is tracked
-    on a fresh tape so callers can run backward over it.
+    Returns (LossBreakdown, ForwardTrace).  With ``create_graph=True`` the
+    breakdown's tensor is tracked on a fresh tape that records the whole
+    network, attribution backward included, so callers can run backward over
+    it to every parameter.  With ``create_graph=False`` only the values are
+    wanted, and they keep their bits: a CE-only objective runs untracked, and
+    a PAL objective records only from the tap to the logits, which is all the
+    attribution's plain backward reads.
     """
-    trace = forward(spec, params, images, Tape())
-    ce = softmax_cross_entropy(trace.logits, labels)
-    if method == "none":
-        return total_loss(ce, None, weight), trace
-    amap = attribution(trace, tap, method, create_graph=True)
-    reduced = reduce_channels(amap, strategy)
-    pal = pal_loss(reduced, priors)
-    return total_loss(ce, pal, weight), trace
+    with ad._fp_scope():
+        if create_graph:
+            trace = forward(spec, params, images, Tape())
+        elif method == "none":
+            trace = forward(spec, params, images)
+        else:
+            trace = forward(spec, params, images, Tape(), grad_from=tap)
+        ce = softmax_cross_entropy(trace.logits, labels)
+        if method == "none":
+            return total_loss(ce, None, weight), trace
+        amap = attribution(trace, tap, method, create_graph=create_graph)
+        reduced = reduce_channels(amap, strategy)
+        pal = pal_loss(reduced, priors)
+        return total_loss(ce, pal, weight), trace
 
 
 def loss_and_grads(spec, params, images, labels, priors, tap, method, strategy, weight):
@@ -268,21 +280,26 @@ def _epoch_order(labels: np.ndarray, rng: np.random.Generator, balanced: bool) -
 # ---------------------------------------------------------------------------
 
 
+def _load_split(path: str) -> tuple[list, int]:
+    """A split's samples and class count; the manifest and its uint8 image
+    sheet are dropped on return, since every sample is already a float copy."""
+    manifest = load_manifest(path)
+    return [load_sample(manifest, i) for i in range(len(manifest))], manifest.n_classes
+
+
 def train(config: TrainConfig, out_dir: str) -> RunRecord:
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
 
-    train_manifest = load_manifest(config.train_manifest)
-    test_manifest = load_manifest(config.test_manifest)
-    spec = get_spec(config.model, n_classes=train_manifest.n_classes, bias=config.bias)
+    all_train, n_classes = _load_split(config.train_manifest)
+    test_samples, _ = _load_split(config.test_manifest)
+    spec = get_spec(config.model, n_classes=n_classes, bias=config.bias)
     if config.tap not in spec.tap_names():  # evaluation needs the tap even for baselines
         raise TrainError(f"tap '{config.tap}' not declared by model '{config.model}'")
     strategy = ChannelStrategy.parse(config.strategy)
     tap_shape = spec.tap_shapes().get(config.tap)
     tap_hw = tap_shape[1:] if tap_shape else None
 
-    all_train = [load_sample(train_manifest, i) for i in range(len(train_manifest))]
-    test_samples = [load_sample(test_manifest, i) for i in range(len(test_manifest))]
     labels_all = np.array([s.label for s in all_train])
     train_idx, val_idx = stratified_split(
         labels_all, config.val_fraction, stream(config.seed, "valsplit")

@@ -201,6 +201,80 @@ def test_backward_second_order_vs_finite_diff():
     npt.assert_allclose(h.data, fd, rtol=1e-4)
 
 
+def _signed(rng, shape):
+    """Entries away from the kinks of relu and abs: 0.2 <= |x| <= 1.5."""
+    return rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+
+def _positive(rng, shape):
+    return rng.uniform(0.5, 1.5, size=shape)
+
+
+def _normal(rng, shape):
+    return rng.normal(size=shape)
+
+
+# op kind -> (how to draw each input, the op applied to those inputs)
+_SECOND_ORDER_CASES = {
+    "add": (((_normal, (3, 4)), (_normal, (4,))), ad.add),
+    "sub": (((_normal, (3, 4)), (_normal, (3, 1))), ad.sub),
+    "mul": (((_normal, (3, 4)), (_normal, (4,))), ad.mul),
+    "div": (((_normal, (3, 4)), (_positive, (3, 4))), ad.div),
+    "neg": (((_normal, (5,)),), ad.neg),
+    "relu": (((_signed, (12,)),), ad.relu),
+    "abs": (((_signed, (12,)),), ad.absolute),
+    "exp": (((_signed, (12,)),), ad.exp),
+    "log": (((_positive, (12,)),), ad.log),
+    "sqrt": (((_positive, (12,)),), ad.sqrt),
+    "reshape": (((_normal, (3, 4)),), lambda x: ad.reshape(x, (2, 6))),
+    "transpose": (((_normal, (2, 3, 4)),), lambda x: ad.transpose(x, (2, 0, 1))),
+    "broadcast_to": (((_normal, (3, 1)),), lambda x: ad.broadcast_to(x, (2, 3, 4))),
+    "gather": (((_normal, (3, 4)),), lambda x: ad.gather(x, np.array([[0, 5, 5], [11, 2, 7]]))),
+    "scatter_add": (((_normal, (6,)),),
+                    lambda x: ad.scatter_add(x, np.array([0, 2, 2, 5, 1, 0]), (3, 2))),
+    "sum": (((_normal, (2, 3, 4)),), lambda x: ad.reduce_sum(x, axes=(0, 2))),
+    "matmul": (((_normal, (3, 4)), (_normal, (4, 2))), ad.matmul),
+    "im2col": (((_normal, (2, 2, 5, 5)),), lambda x: ad.im2col(x, 3, 2)),
+    "col2im": (((_normal, (8, 18)),), lambda x: ad.col2im(x, (2, 2, 5, 5), 3, 2)),
+    "pad": (((_normal, (2, 2, 3, 3)),), lambda x: ad.pad(x, 1)),
+    "crop": (((_normal, (2, 2, 5, 5)),), lambda x: ad.crop(x, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SECOND_ORDER_CASES))
+def test_hessian_vector_product_matches_finite_diff(kind):
+    # f = sum(w * op(x)^3) sends a recorded gradient through every op's VJP,
+    # the linear data-movement ops' included (a square would make sqrt's f
+    # linear); the recorded second backward d<grad f, v>/dx must match a
+    # central difference of grad f along v
+    assert set(_SECOND_ORDER_CASES) == set(ad._OPS)
+    draws, op = _SECOND_ORDER_CASES[kind]
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    x0 = [draw(rng, shape) for draw, shape in draws]
+    v = [rng.normal(size=x.shape) for x in x0]
+    w = rng.uniform(0.5, 1.5, size=op(*x0).shape)
+
+    def grad(arrays, create_graph=False):
+        tape = Tape()
+        xs = [tape.leaf(a) for a in arrays]
+        y = op(*xs)
+        f = ad.reduce_sum(ad.mul(w, ad.mul(ad.mul(y, y), y)))
+        return xs, ad.backward(f, xs, create_graph=create_graph)
+
+    xs, gs = grad(x0, create_graph=True)
+    dot = ad.reduce_sum(ad.mul(gs[0], v[0]))
+    for g, d in zip(gs[1:], v[1:]):
+        dot = ad.add(dot, ad.reduce_sum(ad.mul(g, d)))
+    hv = ad.backward(dot, xs)
+    eps = 1e-6
+    _, plus = grad([x + eps * d for x, d in zip(x0, v)])
+    _, minus = grad([x - eps * d for x, d in zip(x0, v)])
+    for h, p, m in zip(hv, plus, minus):
+        fd = (p.data - m.data) / (2.0 * eps)
+        assert np.abs(fd).max() > 0
+        npt.assert_allclose(h.data, fd, rtol=1e-6, atol=1e-6)
+
+
 def test_backward_preconditions():
     tape = Tape()
     x = tracked(tape, [1.0, 2.0])
@@ -377,6 +451,59 @@ def test_overflow_raises_named_error_without_runtime_warning():
             ad.exp(np.array([1e3]))
         with pytest.raises(NonFiniteError, match="op 'mul'"):
             ad.mul(np.array([1e200]), np.array([1e200]))
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda t: ad.mul(t, np.inf), "op 'mul'"),            # the op's own check comes first
+    (lambda t: ad.div(t, np.inf), "leaf value contains NaN/Inf"),
+    (lambda t: ad.div(t, np.full(3, np.inf)), "leaf value contains NaN/Inf"),
+    (lambda t: ad.div(t, Tensor(np.full(3, -np.inf))), "leaf value contains NaN/Inf"),
+], ids=["mul-float", "div-float", "div-array", "div-untracked-tensor"])
+def test_non_finite_constant_of_a_recorded_op_raises(make, match):
+    tape = Tape()
+    t = tracked(tape, [1.0, -2.0, 3.0])
+    with pytest.raises(NonFiniteError, match=match):
+        make(t)
+    assert len(tape) == 1
+
+
+def _overflow_in_backward(create_graph):
+    tape = Tape()
+    x = tracked(tape, [1e-160])
+    # 1/x is finite; its gradient -1/x^2 overflows in the div of div's VJP
+    ad.backward(ad.reduce_sum(ad.div(1.0, x)), [x], create_graph=create_graph)
+
+
+def _overflow_in_training_loss():
+    from palnet.attribution import ChannelStrategy
+    from palnet.model import init_params, tiny16
+    from palnet.train import training_loss
+
+    spec = tiny16(n_classes=3)
+    params = init_params(spec, 0)
+    params["head.weight"] = np.full_like(params["head.weight"], 1e308)  # logits overflow
+    images = np.random.default_rng(3).uniform(size=(2, 1, 16, 16))
+    training_loss(spec, params, images, np.array([0, 1]), None, "relu1", "none",
+                  ChannelStrategy.parse("all"), 1.0)
+
+
+@pytest.mark.parametrize("run,op", [
+    (lambda: _overflow_in_backward(False), "div"),
+    (lambda: _overflow_in_backward(True), "div"),
+    (_overflow_in_training_loss, "matmul"),
+], ids=["backward", "backward-create-graph", "training_loss"])
+def test_overflow_in_one_errstate_pass_raises_named_error_without_runtime_warning(run, op):
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")  # a RuntimeWarning would surface as itself
+        with pytest.raises(NonFiniteError, match=f"op '{op}'"):
+            run()
+        tape = Tape()
+        x = tracked(tape, [1.0])
+        ad.backward(ad.reduce_sum(ad.exp(x)), [x])
+        # the pass's scope has exited, raising or not: a direct op enters its own errstate
+        assert not ad._FP_QUIET.get()
+        with pytest.raises(NonFiniteError, match="op 'exp'"):
+            ad.exp(np.array([1e3]))
 
 
 # every op exempt from the finite check, applied to a (4, 1, n, n) batch

@@ -4,11 +4,15 @@ evaluation semantics, the ablation grid, and attribution export."""
 import csv
 import json
 import os
+import subprocess
+import sys
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import palnet
 from palnet.ablation import aggregate_rows, run_grid
 from palnet.attribution import ChannelStrategy
 from palnet.cli import main as cli_main
@@ -106,6 +110,35 @@ def test_identical_config_gives_bit_identical_checkpoints(tmp_path, micro_datase
     assert _ckpt_bytes(str(tmp_path / "a")) == _ckpt_bytes(str(tmp_path / "b"))
     assert a.test_acc == b.test_acc
     assert [s["total"] for s in a.steps] == [s["total"] for s in b.steps]
+
+
+_TRAIN_IN_CHILD = """
+import hashlib, json, sys
+from palnet.train import TrainConfig, train
+record = train(TrainConfig(**json.loads(sys.argv[1])), sys.argv[2])
+with open(record.checkpoint, "rb") as fh:
+    print(json.dumps({"sha256": hashlib.sha256(fh.read()).hexdigest(), "steps": record.steps}))
+"""
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(method="grad_input", batch_size=16, augment=True),
+    dict(method="none", batch_size=64),
+], ids=["pal-b16", "ce-b64"])
+def test_blas_thread_count_keeps_the_bits(tmp_path, micro_dataset, overrides):
+    # the determinism contract: one machine and one BLAS build give the same
+    # checkpoint and step rows at 1 and at 2 OpenBLAS threads
+    cfg = json.dumps(asdict(micro_config(micro_dataset, **overrides)))
+    src = os.path.dirname(os.path.dirname(palnet.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", _TRAIN_IN_CHILD, cfg, str(tmp_path / threads)],
+                             env=env, capture_output=True, text=True, timeout=300, check=True)
+        runs.append(json.loads(out.stdout))
+    assert runs[0] == runs[1]
+    assert len(runs[0]["steps"]) > 0
 
 
 def test_weight_zero_matches_method_none_bitwise(tmp_path, micro_dataset):

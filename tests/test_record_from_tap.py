@@ -1,6 +1,7 @@
 """Recording from a tap: `forward(..., grad_from=tap)` runs the blocks up to the
-tap untracked and records only the tap-to-logits tail.  Evaluation and
-`palnet attribute` use it; their results must keep the bits of the fully
+tap untracked and records only the tap-to-logits tail.  Evaluation, `palnet
+attribute` and the value-only objective (`training_loss(...,
+create_graph=False)`) use it; their results must keep the bits of the fully
 recorded forward, which the reference functions below still use."""
 
 import os
@@ -27,9 +28,19 @@ from palnet.data import (
     load_sample,
     manifest_path,
 )
+from palnet.gradcheck import COMBOS
+from palnet.heatmap import build_prior
 from palnet.losses import pearson
-from palnet.model import ModelError, forward, init_params, predictions, save_checkpoint, toy64
-from palnet.train import batch_priors, evaluate
+from palnet.model import (
+    ModelError,
+    forward,
+    get_spec,
+    init_params,
+    predictions,
+    save_checkpoint,
+    toy64,
+)
+from palnet.train import batch_priors, evaluate, training_loss
 
 TAPS = ["relu1", "relu2", "relu3", "relu4"]
 METHODS = [GRAD, GRAD_INPUT]
@@ -143,6 +154,31 @@ def test_grad_from_names_a_tap(model):
 # ---------------------------------------------------------------------------
 # same bits as the fully recorded forward
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model_name,tap,method,strategy",
+                         [("tiny16", "relu1", m, s) for m, s in COMBOS]
+                         + [("toy64", "relu4", GRAD_INPUT, "mean_of_half")])
+def test_value_only_objective_matches_full_recording(model_name, tap, method, strategy):
+    spec = get_spec(model_name, n_classes=3)
+    params = init_params(spec, 4)
+    rng = np.random.default_rng(4)
+    c, h, w = spec.in_shape
+    images = rng.uniform(size=(2, c, h, w))
+    tap_hw = spec.tap_shapes()[tap][1:]
+    priors = None if method == "none" else np.stack(
+        [build_prior(LandmarkSet(rng.uniform(3.0, h - 4.0, size=(5, 2))), h, w, tap_hw)
+         for _ in range(2)])
+    args = (spec, params, images, np.array([0, 2]), priors, tap, method,
+            ChannelStrategy.parse(strategy), 1.0)
+    full, _ = training_loss(*args)
+    value, trace = training_loss(*args, create_graph=False)
+    assert (value.ce, value.pal, value.total) == (full.ce, full.pal, full.total)
+    if method == "none":
+        assert not trace.logits.tracked
+    else:
+        # the tape starts at the tap's leaf: nothing before the tap is recorded
+        assert trace.taps[tap].node == 0 and trace.logits.tape.nodes[0].op == "leaf"
 
 
 @pytest.mark.parametrize("tap", TAPS)
