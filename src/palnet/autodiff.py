@@ -567,8 +567,9 @@ def matmul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 #
 # Index tables describe one sample and are applied along the batch axis, so
-# they do not grow with the batch.  im2col/col2im and pad/crop are adjoint
-# pairs: each one's VJP is the other, which keeps higher orders free.
+# they do not grow with the batch.  im2col and col2im are an adjoint pair that
+# carries the conv's whole geometry (kernel, stride, zero padding): each one's
+# VJP is the other, which keeps higher orders free.
 
 
 @lru_cache(maxsize=256)
@@ -587,88 +588,60 @@ def _im2col_indices(c, hp, wp, k, s):
 
 
 def _eval_im2col(v, ctx):
-    n, idx = ctx["shape"][0], ctx["idx"]
-    return np.take(v[0].reshape(n, -1), idx, axis=1).reshape(n * idx.shape[0], idx.shape[1])
+    (n, c, h, w), idx, p = ctx["shape"], ctx["idx"], ctx["ksp"][2]
+    x = v[0]
+    if p:
+        x = np.zeros((n, c, h + 2 * p, w + 2 * p))
+        # += into zeros, not =, maps -0.0 to +0.0 like any sum into zeros does;
+        # tests/test_conv_parity.py holds the border to the bits of a scatter_add
+        x[:, :, p : p + h, p : p + w] += v[0]
+    return np.take(x.reshape(n, -1), idx, axis=1).reshape(n * idx.shape[0], idx.shape[1])
 
 
 def _vjp_im2col(tape, node, out_id, g, needs):
-    return [col2im(g, node.ctx["shape"], *node.ctx["ks"])]
+    return [col2im(g, node.ctx["shape"], *node.ctx["ksp"])]
 
 
 _register("im2col", _eval_im2col, _vjp_im2col, check_finite=False)
 
 
 def _eval_col2im(v, ctx):
-    # one bincount per sample: a pixel sums only its own sample's columns, in
-    # (oi, oj) order, so its bits do not depend on the batch it came in
-    n, c, hp, wp = ctx["shape"]
+    # one bincount per sample over the padded geometry: a pixel sums only its
+    # own sample's columns, in (oi, oj) order, so its bits do not depend on the
+    # batch it came in; only the interior is kept
+    (n, c, h, w), p = ctx["shape"], ctx["ksp"][2]
+    hp, wp = h + 2 * p, w + 2 * p
     idx, cols = ctx["idx"].ravel(), v[0].reshape(n, -1)
-    out = np.empty((n, c * hp * wp))
+    out = np.empty((n, c, h, w))
     for i in range(n):
-        out[i] = np.bincount(idx, weights=cols[i], minlength=c * hp * wp)
-    return out.reshape(ctx["shape"])
+        summed = np.bincount(idx, weights=cols[i], minlength=c * hp * wp)
+        out[i] = summed.reshape(c, hp, wp)[:, p : p + h, p : p + w]
+    return out
 
 
 def _vjp_col2im(tape, node, out_id, g, needs):
-    return [im2col(g, *node.ctx["ks"])]
+    return [im2col(g, *node.ctx["ksp"])]
 
 
 _register("col2im", _eval_col2im, _vjp_col2im)
 
 
-def _eval_pad(v, ctx):
-    p, x = ctx["p"], v[0]
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * p, w + 2 * p))
-    # += into zeros, not =, maps -0.0 to +0.0 like any sum into zeros does;
-    # tests/test_conv_parity.py holds pad to the bits of a scatter_add
-    out[:, :, p : p + h, p : p + w] += x
-    return out
-
-
-def _vjp_pad(tape, node, out_id, g, needs):
-    return [crop(g, node.ctx["p"])]
-
-
-_register("pad", _eval_pad, _vjp_pad, check_finite=False)
-
-
-def _eval_crop(v, ctx):
-    p, x = ctx["p"], v[0]
-    return x[:, :, p : x.shape[2] - p, p : x.shape[3] - p]
-
-
-def _vjp_crop(tape, node, out_id, g, needs):
-    return [pad(g, node.ctx["p"])]
-
-
-_register("crop", _eval_crop, _vjp_crop, check_finite=False)
-
-
-def im2col(x, k: int, s: int) -> Tensor:
-    """(n, c, hp, wp) -> (n*oh*ow, c*k*k): every k x k window at stride s as a row."""
+def im2col(x, k: int, s: int, p: int) -> Tensor:
+    """(n, c, h, w) -> (n*oh*ow, c*k*k): every k x k window at stride s of the
+    input zero-padded by p on every side, as a row."""
     shape = _value(x).shape
-    idx = _im2col_indices(*shape[1:], k, s)
-    return _apply("im2col", [x], {"shape": shape, "idx": idx, "ks": (k, s)})
+    idx = _im2col_indices(shape[1], shape[2] + 2 * p, shape[3] + 2 * p, k, s)
+    return _apply("im2col", [x], {"shape": shape, "idx": idx, "ksp": (k, s, p)})
 
 
-def col2im(cols, shape, k: int, s: int) -> Tensor:
-    """Adjoint of im2col: sum each row back into the window it came from."""
+def col2im(cols, shape, k: int, s: int, p: int) -> Tensor:
+    """Adjoint of im2col: sum each row back into the window it came from and
+    drop the padding."""
     shape = tuple(shape)
-    idx = _im2col_indices(*shape[1:], k, s)
+    idx = _im2col_indices(shape[1], shape[2] + 2 * p, shape[3] + 2 * p, k, s)
     if _value(cols).size != shape[0] * idx.size:
         raise ShapeError(f"col2im: {_value(cols).shape} columns do not fit {shape}")
-    return _apply("col2im", [cols], {"shape": shape, "idx": idx, "ks": (k, s)})
-
-
-def pad(x, p: int) -> Tensor:
-    """Zero-pad the last two axes of an NCHW batch by p on every side."""
-    return _apply("pad", [x], {"p": p})
-
-
-def crop(x, p: int) -> Tensor:
-    """Adjoint of pad: drop p rows and columns from every side."""
-    return _apply("crop", [x], {"p": p})
+    return _apply("col2im", [cols], {"shape": shape, "idx": idx, "ksp": (k, s, p)})
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -686,10 +659,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     hp, wp = h + 2 * padding, w + 2 * padding
     if k > hp or k > wp:
         raise ShapeError(f"conv2d: kernel {k} larger than padded input {hp}x{wp}")
-    if padding > 0:
-        x = pad(x, padding)
     oh, ow = (hp - k) // stride + 1, (wp - k) // stride + 1
-    cols = im2col(x, k, stride)                            # (n*oh*ow, c*k*k)
+    cols = im2col(x, k, stride, padding)                   # (n*oh*ow, c*k*k)
     wmat = transpose(reshape(weight, (o, c * k * k)), (1, 0))
     out = matmul(cols, wmat)                               # (n*oh*ow, o)
     out = transpose(reshape(out, (n, oh, ow, o)), (0, 3, 1, 2))

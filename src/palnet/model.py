@@ -41,10 +41,7 @@ class ModelSpec:
     bias: bool = True
 
     def __post_init__(self):
-        shapes = self.tap_shapes()  # validates the stack
-        if len(set(self.tap_names())) != len(self.blocks):
-            raise ModelError("tap names must be unique")
-        if not shapes:
+        if not self.tap_shapes():  # validates the stack
             raise ModelError("model needs at least one block")
 
     def tap_names(self) -> list[str]:
@@ -214,8 +211,7 @@ def forward(spec: ModelSpec, params: Parameters, batch, tape: Tape | None = None
         if blk.pool:
             x = ad.maxpool2d(x, blk.pool, blk.pool)
 
-    n = batch_arr.shape[0]
-    flat = ad.reshape(x, (n, spec.head_in_features()))
+    flat = ad.reshape(x, (batch_arr.shape[0], -1))
     logits = ad.matmul(flat, leaves["head.weight"])
     if spec.bias:
         logits = ad.add(logits, ad.reshape(leaves["head.bias"], (1, spec.n_classes)))

@@ -26,7 +26,7 @@ from .attribution import (
     attribution,
     reduce_channels,
 )
-from .autodiff import Tape
+from .autodiff import Tape, Tensor
 from .data import augment, load_manifest, load_sample
 from .heatmap import build_prior
 from .losses import pal_loss, pearson, total_loss
@@ -147,7 +147,8 @@ def training_loss(
     it to every parameter.  With ``create_graph=False`` only the values are
     wanted, and they keep their bits: a CE-only objective runs untracked, and
     a PAL objective records only from the tap to the logits, which is all the
-    attribution's plain backward reads.
+    attribution's plain backward reads; cross-entropy and the total are taken
+    off the tape, from the logits' values.
     """
     with ad._fp_scope():
         if create_graph:
@@ -156,7 +157,8 @@ def training_loss(
             trace = forward(spec, params, images)
         else:
             trace = forward(spec, params, images, Tape(), grad_from=tap)
-        ce = softmax_cross_entropy(trace.logits, labels)
+        logits = trace.logits if create_graph else Tensor(trace.logits.data)
+        ce = softmax_cross_entropy(logits, labels)
         if method == "none":
             return total_loss(ce, None, weight), trace
         amap = attribution(trace, tap, method, create_graph=create_graph)
@@ -297,8 +299,7 @@ def train(config: TrainConfig, out_dir: str) -> RunRecord:
     if config.tap not in spec.tap_names():  # evaluation needs the tap even for baselines
         raise TrainError(f"tap '{config.tap}' not declared by model '{config.model}'")
     strategy = ChannelStrategy.parse(config.strategy)
-    tap_shape = spec.tap_shapes().get(config.tap)
-    tap_hw = tap_shape[1:] if tap_shape else None
+    tap_hw = spec.tap_shapes()[config.tap][1:]
 
     labels_all = np.array([s.label for s in all_train])
     train_idx, val_idx = stratified_split(

@@ -214,7 +214,7 @@ def _normal(rng, shape):
     return rng.normal(size=shape)
 
 
-# op kind -> (how to draw each input, the op applied to those inputs)
+# op kind, then any variant -> (how to draw each input, the op applied to those inputs)
 _SECOND_ORDER_CASES = {
     "add": (((_normal, (3, 4)), (_normal, (4,))), ad.add),
     "sub": (((_normal, (3, 4)), (_normal, (3, 1))), ad.sub),
@@ -234,22 +234,22 @@ _SECOND_ORDER_CASES = {
                     lambda x: ad.scatter_add(x, np.array([0, 2, 2, 5, 1, 0]), (3, 2))),
     "sum": (((_normal, (2, 3, 4)),), lambda x: ad.reduce_sum(x, axes=(0, 2))),
     "matmul": (((_normal, (3, 4)), (_normal, (4, 2))), ad.matmul),
-    "im2col": (((_normal, (2, 2, 5, 5)),), lambda x: ad.im2col(x, 3, 2)),
-    "col2im": (((_normal, (8, 18)),), lambda x: ad.col2im(x, (2, 2, 5, 5), 3, 2)),
-    "pad": (((_normal, (2, 2, 3, 3)),), lambda x: ad.pad(x, 1)),
-    "crop": (((_normal, (2, 2, 5, 5)),), lambda x: ad.crop(x, 1)),
+    "im2col": (((_normal, (2, 2, 5, 5)),), lambda x: ad.im2col(x, 3, 2, 0)),
+    "im2col p=1": (((_normal, (2, 2, 4, 4)),), lambda x: ad.im2col(x, 3, 2, 1)),
+    "col2im": (((_normal, (8, 18)),), lambda x: ad.col2im(x, (2, 2, 5, 5), 3, 2, 0)),
+    "col2im p=1": (((_normal, (8, 18)),), lambda x: ad.col2im(x, (2, 2, 4, 4), 3, 2, 1)),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_SECOND_ORDER_CASES))
-def test_hessian_vector_product_matches_finite_diff(kind):
+@pytest.mark.parametrize("case", sorted(_SECOND_ORDER_CASES))
+def test_hessian_vector_product_matches_finite_diff(case):
     # f = sum(w * op(x)^3) sends a recorded gradient through every op's VJP,
     # the linear data-movement ops' included (a square would make sqrt's f
     # linear); the recorded second backward d<grad f, v>/dx must match a
     # central difference of grad f along v
-    assert set(_SECOND_ORDER_CASES) == set(ad._OPS)
-    draws, op = _SECOND_ORDER_CASES[kind]
-    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    assert {case.split()[0] for case in _SECOND_ORDER_CASES} == set(ad._OPS)
+    draws, op = _SECOND_ORDER_CASES[case]
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
     x0 = [draw(rng, shape) for draw, shape in draws]
     v = [rng.normal(size=x.shape) for x in x0]
     w = rng.uniform(0.5, 1.5, size=op(*x0).shape)
@@ -363,6 +363,10 @@ def test_finite_diff_examples():
         ad.finite_diff(lambda t: t, np.array([1.0]), eps=0.0)
 
 
+def _square(y):
+    return ad.mul(y, y)
+
+
 @pytest.mark.parametrize(
     "name,fn",
     [
@@ -377,6 +381,8 @@ def test_finite_diff_examples():
         ("log", lambda t, c: ad.log(ad.absolute(t))),
         ("sqrt", lambda t, c: ad.sqrt(ad.absolute(t))),
         ("matmul", lambda t, c: ad.matmul(ad.reshape(t, (3, 4)) if t.ndim == 1 else t, c)),
+        ("im2col", lambda t, c: _square(ad.im2col(ad.reshape(t, (1, 1, 3, 4)), 3, 2, 1))),
+        ("col2im", lambda t, c: _square(ad.col2im(ad.reshape(t, (3, 4)), (1, 1, 1, 4), 2, 2, 1))),
     ],
 )
 def test_op_gradient_matches_finite_diff(name, fn):
@@ -515,9 +521,8 @@ _DATA_MOVEMENT = {
     "relu": ad.relu,
     "abs": ad.absolute,
     "neg": ad.neg,
-    "im2col": lambda x: ad.im2col(np.ascontiguousarray(x), 3, 1),
-    "pad": lambda x: ad.pad(x, 2),
-    "crop": lambda x: ad.crop(x, 1),
+    # padded, the input is added into a zeroed border
+    "im2col": lambda x: (ad.im2col(np.ascontiguousarray(x), 3, 1, 0), ad.im2col(x, 3, 1, 2)),
 }
 
 

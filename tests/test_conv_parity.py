@@ -150,24 +150,18 @@ def test_maxpool_all_ties_pick_first_window_offset():
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_pad_and_crop_match_reference(shape, p, layout):
-    x = sample(shape, seed=p, layout=layout)
-    assert_same_bits(ad.pad(x, p), ref_pad(x, p))
-    y = sample(ad.pad(x, p).shape, seed=p + 10, layout=layout)
-    assert_same_bits(ad.crop(y, p), ref_crop(y, p))
-
-
-@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("k,s", WINDOWS)
+@pytest.mark.parametrize("p", [0, 1, 2])
 @pytest.mark.parametrize("layout", LAYOUTS)
-def test_im2col_and_col2im_match_reference(shape, k, s, layout):
+def test_im2col_and_col2im_match_reference(shape, k, s, p, layout):
     x = sample(shape, seed=3, layout=layout)
-    cols = ad.im2col(x, k, s)
-    assert_same_bits(cols, ref_im2col(x, k, s))
+    cols = ad.im2col(x, k, s, p)
+    assert_same_bits(cols, ref_im2col(ref_pad(x, p) if p else x, k, s))
     y = sample(cols.shape, seed=4)
-    assert_same_bits(ad.col2im(y, shape, k, s), ref_col2im(y, shape, k, s))
+    n, c, h, w = shape
+    got = ad.col2im(y, shape, k, s, p)
+    assert got.data.flags.c_contiguous
+    assert_same_bits(got, ref_crop(ref_col2im(y, (n, c, h + 2 * p, w + 2 * p), k, s), p))
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -196,29 +190,31 @@ def test_conv2d_values_and_gradients_match_reference(n, stride, padding, layout)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [1, 2])
-def test_pad_crop_adjoint_identity(p):
-    x = sample((3, 2, 7, 9), seed=8)
-    y = sample((3, 2, 7 + 2 * p, 9 + 2 * p), seed=9)
-    lhs = np.vdot(ad.pad(x, p).data, y)
-    rhs = np.vdot(x, ad.crop(y, p).data)
-    npt.assert_allclose(lhs, rhs, rtol=1e-12)
-
-
 @pytest.mark.parametrize("k,s", WINDOWS)
-def test_im2col_col2im_adjoint_identity(k, s):
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_im2col_col2im_adjoint_identity(k, s, p):
     shape = (3, 2, 7, 9)
     x = sample(shape, seed=10)
-    cols = ad.im2col(x, k, s)
+    cols = ad.im2col(x, k, s, p)
     y = sample(cols.shape, seed=11)
     lhs = np.vdot(cols.data, y)
-    rhs = np.vdot(x, ad.col2im(y, shape, k, s).data)
+    rhs = np.vdot(x, ad.col2im(y, shape, k, s, p).data)
     npt.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_col2im_rejects_mismatched_columns():
     with pytest.raises(ShapeError, match="col2im"):
-        ad.col2im(np.ones((5, 4)), (1, 1, 4, 4), 2, 1)
+        ad.col2im(np.ones((5, 4)), (1, 1, 4, 4), 2, 1, 0)
+
+
+def test_padded_conv_records_im2col_on_its_input():
+    tape = Tape()
+    x = tape.leaf(np.ones((1, 2, 4, 4)))
+    w = tape.leaf(np.ones((3, 2, 3, 3)))
+    ad.conv2d(x, w, padding=1)
+    assert [node.op for node in tape.nodes] == [
+        "leaf", "leaf", "im2col", "reshape", "transpose", "matmul", "reshape", "transpose"]
+    assert tape.nodes[2].inputs == (x.node,)
 
 
 def test_index_tables_do_not_depend_on_batch_size():
@@ -272,7 +268,7 @@ def test_conv2d_input_gradient_matches_finite_diff(stride, padding):
 
 def test_second_order_through_padded_conv_matches_finite_diff():
     # outer(w) = sum(r2 * d/dx sum(r1 * conv(x, w)^2)); smooth, so central
-    # differences are accurate, and d outer/dw runs pad/crop and im2col/col2im
+    # differences are accurate, and d outer/dw runs the padded im2col/col2im
     # through their own adjoints
     rng = np.random.default_rng(13)
     x0 = rng.normal(size=(2, 2, 5, 5))

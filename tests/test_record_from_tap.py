@@ -178,7 +178,10 @@ def test_value_only_objective_matches_full_recording(model_name, tap, method, st
         assert not trace.logits.tracked
     else:
         # the tape starts at the tap's leaf: nothing before the tap is recorded
-        assert trace.taps[tap].node == 0 and trace.logits.tape.nodes[0].op == "leaf"
+        nodes = trace.logits.tape.nodes
+        assert trace.taps[tap].node == 0 and nodes[0].op == "leaf"
+        # and ends at the attribution's logit sum: CE and the total are not recorded
+        assert [node.op for node in nodes[trace.logits.node + 1:]] == ["sum"]
 
 
 @pytest.mark.parametrize("tap", TAPS)
