@@ -15,10 +15,16 @@ Conventions baked in here:
   * max-pool routes gradient to the first argmax in row-major window order
     and treats that selection as locally constant,
   * non-finite values raise instead of propagating: every op that can make
-    NaN/Inf checks its own output and raises `NonFiniteError` naming itself.
-    NumPy's floating-point warnings are silenced for that check with one
-    ``np.errstate`` per op, or one per `backward` pass and per
-    `train.training_loss` (`_fp_scope`), inside which ops skip their own.
+    NaN/Inf checks its own output (`_all_finite`, a sum of squares) and
+    raises `NonFiniteError` naming itself.  NumPy's floating-point warnings
+    are silenced for that check with one ``np.errstate`` per op, or one per
+    `backward` pass and per `train.training_loss` (`_fp_scope`), inside
+    which ops skip their own,
+  * a constant is any operand that is not a Tensor; every op checks its
+    constants for NaN/Inf, recorded or not, and a recorded op also checks an
+    untracked Tensor as it puts it on the tape,
+  * constants are converted to float64, except that `add`, `sub`, `mul` and
+    `div` take a boolean array as is (finite by type, cast in NumPy's loop).
 """
 
 from __future__ import annotations
@@ -145,6 +151,7 @@ class _Op(NamedTuple):
     keep_output: bool = False           # its backward rule reads its own output
     keep_inputs: tuple[int, ...] = ()   # positions of the inputs its backward rule reads
     check_finite: bool = True           # False for data movement: finite in, finite out
+    takes_bool: bool = False            # its eval casts a boolean constant in NumPy's loop
 
 
 _OPS: dict[str, _Op] = {}
@@ -176,6 +183,18 @@ def _fp_scope():
         _FP_QUIET.reset(token)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether `a` holds no NaN/Inf, without a boolean copy of it.
+
+    NaN or Inf in `a` makes its sum of squares non-finite, so a finite sum
+    proves `a` finite; only a non-finite sum (which huge finite entries also
+    give) is settled entry by entry.  Call it under an errstate that ignores
+    overflow: the squares may overflow.
+    """
+    flat = a.ravel(order="K")
+    return math.isfinite(flat @ flat) or bool(np.isfinite(flat).all())
+
+
 def _value(x) -> np.ndarray:
     if isinstance(x, Tensor):
         return x.data
@@ -183,9 +202,12 @@ def _value(x) -> np.ndarray:
 
 
 def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
-    # one pass finds the operands' tape and collects their values
+    # one pass finds the operands' tape, collects their values and checks
+    # every constant (an operand that is not a Tensor), recorded or not
+    op = _OPS[kind]
     tape = None
     values = []
+    bad_constant = False
     for x in inputs:
         if isinstance(x, Tensor):
             if x.tape is not None:
@@ -194,18 +216,26 @@ def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
                 elif tape is not x.tape:
                     raise TapeError("operands live on different tapes")
             values.append(x.data)
+        elif op.takes_bool and isinstance(x, np.ndarray) and x.dtype == np.bool_:
+            values.append(x)                   # finite by type
         else:
-            values.append(np.asarray(x, dtype=np.float64))
-    op = _OPS[kind]
+            v = np.asarray(x, dtype=np.float64)
+            values.append(v)
+            if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(v).all()):
+                bad_constant = True
     if not op.check_finite or _FP_QUIET.get():
         # data movement raises no floating-point warning on NaN/Inf operands,
         # and inside `_fp_scope` the errstate is already entered
         out = op.eval(values, ctx)
+        finite = not op.check_finite or _all_finite(out)
     else:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = op.eval(values, ctx)
-    if op.check_finite and not np.isfinite(out).all():
+            finite = _all_finite(out)
+    if not finite:
         raise NonFiniteError(f"op '{kind}' produced non-finite values")
+    if bad_constant:
+        raise NonFiniteError("leaf value contains NaN/Inf")
     if tape is None or not tape.recording:
         return Tensor(out)
     nodes = tape.nodes
@@ -214,8 +244,9 @@ def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
         if isinstance(x, Tensor) and x.tape is tape and x.node is not None:
             ids.append(x.node)
         else:
-            # a constant operand: the leaf `Tape.leaf` would record, with no Tensor
-            if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(v).all()):
+            # a constant operand: the leaf `Tape.leaf` would record, with no
+            # Tensor; an untracked Tensor is checked as it becomes one
+            if isinstance(x, Tensor) and not np.isfinite(v).all():
                 raise NonFiniteError("leaf value contains NaN/Inf")
             ids.append(len(nodes))
             nodes.append(Node("leaf", (), None, v.shape, None))
@@ -231,11 +262,12 @@ def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
 
 
 def _binary(kind: str, fn: Callable) -> Callable:
-    """The eval of `fn(a, b)`, raising NumPy's refused broadcast as ShapeError."""
+    """The eval of `fn(a, b)` in float64, raising NumPy's refused broadcast as
+    ShapeError; a boolean operand is cast to 0.0/1.0 in the ufunc's loop."""
 
     def eval_binary(v, ctx):
         try:
-            return fn(v[0], v[1])
+            return fn(v[0], v[1], dtype=np.float64)
         except ValueError:
             msg = f"{kind}: shapes {v[0].shape} and {v[1].shape} do not broadcast"
             raise ShapeError(msg) from None
@@ -269,7 +301,7 @@ def _vjp_add(tape, node, out_id, g, needs):
     ]
 
 
-_register("add", _binary("add", np.add), _vjp_add)
+_register("add", _binary("add", np.add), _vjp_add, takes_bool=True)
 
 
 def _vjp_sub(tape, node, out_id, g, needs):
@@ -279,7 +311,7 @@ def _vjp_sub(tape, node, out_id, g, needs):
     ]
 
 
-_register("sub", _binary("sub", np.subtract), _vjp_sub)
+_register("sub", _binary("sub", np.subtract), _vjp_sub, takes_bool=True)
 
 
 def _vjp_mul(tape, node, out_id, g, needs):
@@ -290,7 +322,7 @@ def _vjp_mul(tape, node, out_id, g, needs):
     ]
 
 
-_register("mul", _binary("mul", np.multiply), _vjp_mul, keep_inputs=(0, 1))
+_register("mul", _binary("mul", np.multiply), _vjp_mul, keep_inputs=(0, 1), takes_bool=True)
 _divide = _binary("div", np.true_divide)
 
 
@@ -310,7 +342,7 @@ def _vjp_div(tape, node, out_id, g, needs):
     ]
 
 
-_register("div", _eval_div, _vjp_div, keep_output=True, keep_inputs=(1,))
+_register("div", _eval_div, _vjp_div, keep_output=True, keep_inputs=(1,), takes_bool=True)
 
 
 def _vjp_neg(tape, node, out_id, g, needs):
@@ -345,9 +377,9 @@ def neg(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _vjp_relu(tape, node, out_id, g, needs):
-    # for finite x, max(x, 0) > 0 exactly when x > 0
-    mask = (tape.nodes[out_id].value > 0.0).astype(np.float64)
-    return [mul(g, mask)]
+    # for finite x, max(x, 0) > 0 exactly when x > 0; mul casts the boolean
+    # mask in its loop, so no float mask is made
+    return [mul(g, tape.nodes[out_id].value > 0.0)]
 
 
 # C order whatever the input's layout: relu's output is every tap, the relu

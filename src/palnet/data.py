@@ -271,26 +271,29 @@ def rotate_image(img: np.ndarray, theta_deg: float) -> np.ndarray:
         return img.copy()
     h, w = img.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    ii, jj = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
+    # centred offsets as a column and a row: broadcasting does each pixel's
+    # arithmetic in the order a full grid would
+    di = (np.arange(h, dtype=np.float64) - cy)[:, None]
+    dj = np.arange(w, dtype=np.float64) - cx
     t = np.deg2rad(theta_deg)
     ct, st = np.cos(t), np.sin(t)
-    xs = cx + ct * (jj - cx) + st * (ii - cy)   # inverse rotation
-    ys = cy - st * (jj - cx) + ct * (ii - cy)
+    xs = cx + ct * dj + st * di   # inverse rotation
+    ys = cy - st * dj + ct * di
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
     wx, wy = xs - x0, ys - y0
-
-    def tap(yi, xi):
-        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        v = img[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
-        return np.where(valid, v, 0.0)
-
+    # a one-pixel zero border: a tap clipped to [-1, h] x [-1, w] reads the
+    # pixel or, outside the image, zero
+    bordered = np.zeros((h + 2, w + 2))
+    bordered[1:-1, 1:-1] = img
+    flat = bordered.ravel()
+    rows = [(np.clip(y, -1, h) + 1) * (w + 2) for y in (y0, y0 + 1)]
+    cols = [np.clip(x, -1, w) + 1 for x in (x0, x0 + 1)]
     return (
-        (1 - wy) * (1 - wx) * tap(y0, x0)
-        + (1 - wy) * wx * tap(y0, x0 + 1)
-        + wy * (1 - wx) * tap(y0 + 1, x0)
-        + wy * wx * tap(y0 + 1, x0 + 1)
+        (1 - wy) * (1 - wx) * flat.take(rows[0] + cols[0])
+        + (1 - wy) * wx * flat.take(rows[0] + cols[1])
+        + wy * (1 - wx) * flat.take(rows[1] + cols[0])
+        + wy * wx * flat.take(rows[1] + cols[1])
     )
 
 

@@ -28,15 +28,8 @@ def combo_label(method: str, strategy: str) -> str:
     return "ce-only" if method == "none" else f"{method}+{strategy}"
 
 
-def run_gradcheck(
-    seed: int = 0,
-    eps: float = 1e-5,
-    threshold: float = 1e-4,
-    batch: int = 2,
-    pal_weight: float = 1.0,
-) -> dict:
-    """Returns a report dict; report["passed"] is the overall verdict."""
-    t0 = time.perf_counter()
+def gradcheck_inputs(seed: int = 0, batch: int = 2):
+    """(spec, tap, images, labels, priors, params) that `run_gradcheck` checks at."""
     spec = tiny16(n_classes=3)
     # the first tap keeps conv2's weights downstream of the attribution, so
     # the recorded-backward path through a convolution is actually exercised
@@ -53,8 +46,19 @@ def run_gradcheck(
             for _ in range(batch)
         ]
     )
-    params = init_params(spec, seed)
+    return spec, tap, images, labels, priors, init_params(spec, seed)
 
+
+def run_gradcheck(
+    seed: int = 0,
+    eps: float = 1e-5,
+    threshold: float = 1e-4,
+    batch: int = 2,
+    pal_weight: float = 1.0,
+) -> dict:
+    """Returns a report dict; report["passed"] is the overall verdict."""
+    t0 = time.perf_counter()
+    spec, tap, images, labels, priors, params = gradcheck_inputs(seed, batch)
     report: dict = {"seed": seed, "eps": eps, "threshold": threshold, "combos": {}}
     worst = 0.0
     for method, strategy_name in COMBOS:

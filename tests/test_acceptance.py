@@ -220,7 +220,8 @@ def _paired_not_worse(rows: list[dict], arm: str, reference: str) -> dict:
 
     A seed gives both arms the same split, initial weights, batch order and
     augmentation draws, so the per-seed differences (arm - reference) carry
-    less noise than the two arm means. Their mean and 95% interval come from
+    less noise than the two arm means. Their mean and the interval
+    mean +- 1.96*sd/sqrt(n) (about 88% coverage at n = 5) come from
     `aggregate_rows`; `arm` is not worse unless the whole interval lies below 0.
     """
     per_arm = {
@@ -278,10 +279,11 @@ def test_criterion_5b_accuracy_not_worse(experiment):
     got = _paired_not_worse(experiment["rows"], "pal", "baseline")
     diffs = ", ".join(f"{d:+.3f}" for d in got["diffs"])
     assert _report(
-        "criterion 5b accuracy not worse (seed-paired, 95%)",
+        "criterion 5b accuracy not worse (seed-paired, 1.96*sd/sqrt(n))",
         got["ok"],
         f"pal - baseline by seed [{diffs}], mean {got['mean']:+.4f}, "
-        f"95% interval [{got['low']:+.4f}, {got['high']:+.4f}] (upper >= 0); "
+        f"1.96*sd/sqrt(n) interval (about 88% at n = 5) "
+        f"[{got['low']:+.4f}, {got['high']:+.4f}] (upper >= 0); "
         f"pal {experiment['agg']['pal']['test_acc']:.4f}, "
         f"baseline {experiment['agg']['baseline']['test_acc']:.4f}",
     )

@@ -473,6 +473,116 @@ def test_non_finite_constant_of_a_recorded_op_raises(make, match):
     assert len(tape) == 1
 
 
+@pytest.mark.parametrize("recorded", [False, True], ids=["unrecorded", "recorded"])
+def test_non_finite_constant_raises_whether_or_not_the_op_records(recorded):
+    # a constant is any operand that is not a Tensor; a finite quotient does not hide it
+    tape = Tape()
+    numerator = tracked(tape, np.ones(3)) if recorded else np.ones(3)
+    with pytest.raises(NonFiniteError, match="leaf value contains NaN/Inf"):
+        ad.div(numerator, np.inf)
+    with pytest.raises(NonFiniteError, match="leaf value contains NaN/Inf"):
+        ad.div(numerator, np.array([1.0, -np.inf, 2.0]))
+    assert len(tape) == int(recorded)
+    # data movement checks its constants too
+    with pytest.raises(NonFiniteError, match="leaf value contains NaN/Inf"):
+        ad.reshape(np.array([1.0, -np.inf]), (2, 1))
+
+
+@pytest.mark.parametrize("pos", [0, 50, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_all_finite_finds_nan_and_inf_anywhere(pos, bad):
+    # as in `_apply`, under an errstate that ignores what the squares set
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fill in (np.linspace(-1.0, 1.0, 101), np.full(101, 1e200)):
+            assert ad._all_finite(fill)
+            fill[pos] = bad
+            assert not ad._all_finite(fill)
+
+
+def test_all_finite_edge_cases():
+    with np.errstate(over="ignore"):
+        assert ad._all_finite(np.full(7, -1e200))     # the sum of squares overflows
+    assert ad._all_finite(np.ones(0))
+    assert ad._all_finite(np.array(2.0)) and not ad._all_finite(np.array(np.nan))
+    assert ad._all_finite(np.float64(2.0)) and not ad._all_finite(np.float64(-np.inf))
+    channels_last = np.arange(120.0).reshape(2, 3, 4, 5).transpose(0, 2, 3, 1)
+    assert ad._all_finite(channels_last)
+    channels_last[1, 2, 3, 0] = np.nan
+    assert not ad._all_finite(channels_last)
+    assert not ad._all_finite(channels_last[:, ::2])   # not contiguous in any order
+
+
+def test_huge_finite_outputs_pass_without_runtime_warning():
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")  # an overflow in the check would surface as itself
+        npt.assert_array_equal(ad.mul(np.full(4, 1e100), 1e100).data, np.full(4, 1e200))
+        tape = Tape()
+        x = tracked(tape, np.full(4, 1e100))
+        (g,) = ad.backward(ad.reduce_sum(ad.mul(x, x)), [x])
+        npt.assert_array_equal(g.data, np.full(4, 2e100))
+
+
+@pytest.mark.parametrize("kind", ["add", "sub", "mul", "div"])
+def test_boolean_constant_gives_the_bits_of_its_float_mask(kind):
+    fn = getattr(ad, kind)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(3, 4))
+    x[0, :2] = -0.0, 0.0
+    mask = rng.random((3, 4)) < 0.5
+    full = np.ones(4, dtype=bool)
+    pairs = [(x, full), (mask, full)]
+    if kind != "div":  # a divisor with a False entry is degenerate
+        pairs += [(x, mask), (mask, x), (mask, mask)]
+    for a, b in pairs:
+        got = fn(a, b).data
+        want = fn(*(v.astype(np.float64) if v.dtype == bool else v for v in (a, b))).data
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if kind == "div":
+        with pytest.raises(EngineError, match="degenerate divisor"):
+            fn(x, mask)
+
+
+def test_boolean_constant_of_other_ops_is_float():
+    mask = np.array([True, False])
+    npt.assert_array_equal(ad.neg(mask).data, [-1.0, -0.0])
+    npt.assert_array_equal(ad.absolute(mask).data, [1.0, 0.0])
+    total = ad.reduce_sum(np.array([True, True]))
+    assert total.data.dtype == np.float64 and total.item() == 2.0
+    assert ad.add(mask, mask).data.tolist() == [2.0, 0.0]
+
+
+def _relu_vjp_float_mask(tape, node, out_id, g, needs):
+    return [ad.mul(g, (tape.nodes[out_id].value > 0.0).astype(np.float64))]
+
+
+def _relu_episode():
+    # exact zeros in relu's input (a bias-free conv of a half-zero image) hit relu'(0) = 0
+    rng = np.random.default_rng(11)
+    tape = Tape()
+    xv = rng.normal(size=(2, 2, 6, 6))
+    xv[:, :, :3] = 0.0
+    x = tape.leaf(xv)
+    w = tape.leaf(rng.normal(size=(3, 2, 3, 3)))
+    h = ad.relu(ad.conv2d(x, w, padding=1))
+    out = ad.relu(ad.sub(ad.maxpool2d(h, 2, 2), 0.1))
+    # the linear term sends a nonzero gradient to every dead unit
+    c = rng.normal(size=out.shape)
+    loss = ad.add(ad.reduce_sum(ad.mul(out, c)), ad.reduce_sum(ad.mul(out, ad.mul(out, out))))
+    gx, gw = ad.backward(loss, [x, w], create_graph=True)
+    loss2 = ad.add(ad.reduce_sum(ad.mul(gx, gx)), ad.reduce_sum(ad.mul(gw, gw)))
+    return [loss.data, gx.data, gw.data] + [g.data for g in ad.backward(loss2, [x, w])]
+
+
+def test_relu_gradients_match_a_float_mask_reference(monkeypatch):
+    got = _relu_episode()
+    monkeypatch.setitem(ad._VJP, "relu", _relu_vjp_float_mask)
+    want = _relu_episode()
+    assert all(np.abs(g).max() > 0 for g in want[1:])
+    for g, r in zip(got, want):
+        assert g.tobytes() == r.tobytes()
+
+
 def _overflow_in_backward(create_graph):
     tape = Tape()
     x = tracked(tape, [1e-160])
@@ -512,17 +622,20 @@ def test_overflow_in_one_errstate_pass_raises_named_error_without_runtime_warnin
             ad.exp(np.array([1e3]))
 
 
-# every op exempt from the finite check, applied to a (4, 1, n, n) batch
+# every op exempt from the finite check, applied to a (4, 1, n, n) batch as an
+# untracked Tensor (a non-Tensor operand is a constant, and a non-finite
+# constant raises NonFiniteError)
 _DATA_MOVEMENT = {
-    "reshape": lambda x: ad.reshape(x, (-1,)),
-    "transpose": lambda x: ad.transpose(x, (0, 1, 3, 2)),
-    "gather": lambda x: ad.gather(x, np.arange(x.size).reshape(x.shape)[..., ::-1]),
-    "broadcast_to": lambda x: ad.broadcast_to(x[:, :, :1], (4, 1, 5, x.shape[3])),
-    "relu": ad.relu,
-    "abs": ad.absolute,
-    "neg": ad.neg,
+    "reshape": lambda x: ad.reshape(Tensor(x), (-1,)),
+    "transpose": lambda x: ad.transpose(Tensor(x), (0, 1, 3, 2)),
+    "gather": lambda x: ad.gather(Tensor(x), np.arange(x.size).reshape(x.shape)[..., ::-1]),
+    "broadcast_to": lambda x: ad.broadcast_to(Tensor(x[:, :, :1]), (4, 1, 5, x.shape[3])),
+    "relu": lambda x: ad.relu(Tensor(x)),
+    "abs": lambda x: ad.absolute(Tensor(x)),
+    "neg": lambda x: ad.neg(Tensor(x)),
     # padded, the input is added into a zeroed border
-    "im2col": lambda x: (ad.im2col(np.ascontiguousarray(x), 3, 1, 0), ad.im2col(x, 3, 1, 2)),
+    "im2col": lambda x: (ad.im2col(Tensor(np.ascontiguousarray(x)), 3, 1, 0),
+                         ad.im2col(Tensor(x), 3, 1, 2)),
 }
 
 

@@ -413,6 +413,50 @@ def test_rotation_preserves_mass_roughly():
     assert abs(rotated.sum() - s.image.sum()) / s.image.sum() < 0.1
 
 
+def rotate_image_reference(img, theta_deg):
+    """The rotation on full index grids, with a valid-mask, clip and `np.where`
+    per tap: `rotate_image` must give its bytes."""
+    if theta_deg == 0.0:
+        return img.copy()
+    h, w = img.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    ii, jj = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    t = np.deg2rad(theta_deg)
+    ct, st = np.cos(t), np.sin(t)
+    xs = cx + ct * (jj - cx) + st * (ii - cy)
+    ys = cy - st * (jj - cx) + ct * (ii - cy)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    wx, wy = xs - x0, ys - y0
+
+    def tap(yi, xi):
+        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
+        v = img[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
+        return np.where(valid, v, 0.0)
+
+    return (
+        (1 - wy) * (1 - wx) * tap(y0, x0)
+        + (1 - wy) * wx * tap(y0, x0 + 1)
+        + wy * (1 - wx) * tap(y0 + 1, x0)
+        + wy * wx * tap(y0 + 1, x0 + 1)
+    )
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (40, 52), (17, 9), (1, 5)])
+def test_rotate_image_matches_reference_bytes(shape):
+    rng = np.random.default_rng(sum(shape))
+    signed_zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    images = [rng.uniform(0.0, 1.0, shape), np.zeros(shape), signed_zeros,
+              np.where(rng.random(shape) < 0.3, -0.0, rng.uniform(-1.0, 1.0, shape))]
+    angles = [90.0, -90.0, 179.0, 1e-12, -1e-12, 0.0, 45.0, -45.0]
+    angles += list(rng.uniform(-45.0, 45.0, 40))
+    for img in images:
+        for theta in angles:
+            got, want = rotate_image(img, theta), rotate_image_reference(img, theta)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), theta
+
+
 def test_augment_angles_within_contract():
     rng = stream(1, "aug-range")
     for _ in range(20):
