@@ -30,9 +30,13 @@ Conventions baked in here:
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import sys
+import weakref
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -183,6 +187,161 @@ def _fp_scope():
         _FP_QUIET.reset(token)
 
 
+# ---------------------------------------------------------------------------
+# workspace: planned buffers for the large outputs of a repeated pass
+# ---------------------------------------------------------------------------
+
+# op outputs at least this large come from the active Workspace
+_ARENA_MIN_BYTES = 256 * 1024
+_ALIGN = 64
+
+_WORKSPACE: ContextVar["Workspace | None"] = ContextVar("_WORKSPACE", default=None)
+
+
+def _nbytes(shape) -> int:
+    """A float64 buffer's bytes, rounded up to whole `_ALIGN` blocks."""
+    return -(-8 * math.prod(shape) // _ALIGN) * _ALIGN
+
+
+def _fit(taken, size: int) -> int:
+    """Offset of the smallest gap between the byte ranges `taken` that holds
+    `size` bytes, else of their top."""
+    best, best_gap, top = None, None, 0
+    for lo, hi in sorted(taken):
+        if lo - top >= size and (best_gap is None or lo - top < best_gap):
+            best, best_gap = top, lo - top
+        top = max(top, hi)
+    return top if best is None else best
+
+
+def _reserve() -> mmap.mmap | None:
+    """Address space for a recording pass, as large as the machine's memory,
+    which no pass outgrows; only the pages it touches take memory."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    except (OSError, ValueError):
+        return None               # an address-space limit: record into fresh blocks
+
+
+class Workspace:
+    """One arena for the large op outputs of a pass that repeats, such as a
+    training step, planned from the first pass run inside ``with workspace:``.
+
+    The first pass records every output of at least `_ARENA_MIN_BYTES` that
+    an eval asks for (see `take`): its shape, and how many requests had been
+    made when a weakref saw it die.  It places them as it goes in one
+    anonymous mapping.  On exit the lifetimes are laid out again, greedily by
+    size, so that buffers alive at the same time never share bytes; the same
+    mapping holds the layout, so the pages the first pass touched are not
+    faulted in again, and the rest are touched once.  Each later pass hands
+    request k its planned slot if the shape matches and no array lives on
+    that slot or on any slot sharing its bytes (NumPy views hold their base,
+    so reference counts see them); any other request gets a fresh block.  A
+    stale plan costs speed, never bits.  `close` drops the arena.
+    """
+
+    def __init__(self):
+        self.nbytes = 0          # the arena's size once planned
+        self._count = 0          # requests made in the current pass
+        self._map = None         # the mapping recorded into, then the arena
+        self._log = []           # recording: [shape, requests made when it died]
+        self._watch = []         # recording: the weakrefs that fill in deaths
+        self._live = {}          # recording: request -> its live byte range in _map
+        self._slots = None       # planned: (shape, requests sharing its bytes) per request
+        self._roots = []         # planned: the array on each slot
+        self._idle = 0           # reference count of a slot array nobody holds
+        self._token = None
+
+    def __enter__(self):
+        self._count = 0
+        if self._slots is None and self._map is None:
+            self._map = _reserve()
+        self._token = _WORKSPACE.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        _WORKSPACE.reset(self._token)
+        if self._slots is not None:
+            return
+        if exc_type is None:
+            self._plan()
+        else:
+            # the failed pass's arrays may outlive it: record afresh elsewhere
+            self._map, self._log, self._watch, self._live = None, [], [], {}
+
+    def close(self):
+        """Drop the arena; it is unmapped once no array on it is alive."""
+        self._map, self._slots, self._roots, self.nbytes = None, None, [], 0
+        self._log, self._watch, self._live = [], [], {}
+
+    def _died(self, k, _ref):
+        self._log[k][1] = self._count
+        self._live.pop(k, None)
+
+    def _refs(self, k) -> int:
+        return sys.getrefcount(self._roots[k])
+
+    def take(self, shape) -> np.ndarray:
+        """An uninitialised float64 buffer for an op output; one below
+        `_ARENA_MIN_BYTES` is neither recorded nor planned."""
+        if 8 * math.prod(shape) < _ARENA_MIN_BYTES:
+            return np.empty(shape)
+        k = self._count
+        self._count += 1
+        if self._slots is None:
+            size = _nbytes(shape)
+            at = _fit(self._live.values(), size)
+            if self._map is not None and at + size <= len(self._map):
+                out = np.ndarray(shape, buffer=self._map, offset=at)
+                self._live[k] = (at, at + size)
+            else:
+                out = np.empty(shape)
+            self._log.append([shape, None])
+            self._watch.append(weakref.ref(out, partial(self._died, k)))
+            return out
+        if k < len(self._slots):
+            slot_shape, shares = self._slots[k]
+            if slot_shape == shape and all(self._refs(j) == self._idle for j in shares):
+                return self._roots[k]
+        return np.empty(shape)
+
+    def _plan(self):
+        # request k lives over [k, death); two requests may share bytes only
+        # if one died before the other was made
+        n = len(self._log)
+        spans = [(k, n if death is None else death) for k, (_, death) in enumerate(self._log)]
+        sizes = [_nbytes(shape) for shape, _ in self._log]
+        offsets = [0] * n
+        placed = []
+        for k in sorted(range(n), key=lambda k: -sizes[k]):
+            offsets[k] = _fit([(offsets[j], offsets[j] + sizes[j]) for j in placed
+                               if spans[j][0] < spans[k][1] and spans[k][0] < spans[j][1]],
+                              sizes[k])
+            placed.append(k)
+        self.nbytes = max((o + s for o, s in zip(offsets, sizes)), default=0)
+        self._slots = [(shape, [j for j in range(n) if offsets[j] < offsets[k] + sizes[k]
+                                and offsets[k] < offsets[j] + sizes[j]])
+                       for k, (shape, _) in enumerate(self._log)]
+        if self.nbytes:
+            if self._live or self._map is None or self.nbytes > len(self._map):
+                # a recorded array still lives on the mapping, or there is none
+                self._map = mmap.mmap(-1, self.nbytes, flags=mmap.MAP_PRIVATE)
+            # touch every page now, so that no later pass faults
+            np.frombuffer(self._map, dtype=np.uint8, count=self.nbytes)[:: mmap.PAGESIZE] = 0
+            self._roots = [np.ndarray(shape, buffer=self._map, offset=o)
+                           for (shape, _), o in zip(self._slots, offsets)]
+            self._idle = self._refs(0)
+        self._log, self._watch, self._live = [], [], {}
+
+
+def _out(shape) -> np.ndarray | None:
+    """The active Workspace's buffer for an op output, or None outside one:
+    an eval passes it as ``out=`` and NumPy then allocates as it always did."""
+    ws = _WORKSPACE.get()
+    return None if ws is None else ws.take(shape)
+
+
 def _all_finite(a: np.ndarray) -> bool:
     """Whether `a` holds no NaN/Inf, without a boolean copy of it.
 
@@ -266,10 +425,15 @@ def _binary(kind: str, fn: Callable) -> Callable:
     ShapeError; a boolean operand is cast to 0.0/1.0 in the ufunc's loop."""
 
     def eval_binary(v, ctx):
+        a, b = v
         try:
-            return fn(v[0], v[1], dtype=np.float64)
+            ws = _WORKSPACE.get()
+            # the output is at least as large as either operand
+            if ws is None or 8 * max(a.size, b.size) < _ARENA_MIN_BYTES:
+                return fn(a, b, dtype=np.float64)
+            return fn(a, b, dtype=np.float64, out=ws.take(np.broadcast_shapes(a.shape, b.shape)))
         except ValueError:
-            msg = f"{kind}: shapes {v[0].shape} and {v[1].shape} do not broadcast"
+            msg = f"{kind}: shapes {a.shape} and {b.shape} do not broadcast"
             raise ShapeError(msg) from None
 
     return eval_binary
@@ -385,8 +549,8 @@ def _vjp_relu(tape, node, out_id, g, needs):
 # C order whatever the input's layout: relu's output is every tap, the relu
 # VJP's mask and max-pool's input, and conv2d hands it the transposed matmul
 # result, with or without a bias
-_register("relu", lambda v, ctx: np.maximum(v[0], 0.0, order="C"), _vjp_relu,
-          keep_output=True, check_finite=False)
+_register("relu", lambda v, ctx: np.maximum(v[0], 0.0, order="C", out=_out(v[0].shape)),
+          _vjp_relu, keep_output=True, check_finite=False)
 
 
 def _vjp_abs(tape, node, out_id, g, needs):
@@ -531,7 +695,8 @@ def _eval_matmul(v, ctx):
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    return a @ b
+    out = _out((a.shape[0], b.shape[1]))
+    return a @ b if out is None else np.matmul(a, b, out=out)
 
 
 def _vjp_matmul(tape, node, out_id, g, needs):
@@ -615,6 +780,9 @@ def _im2col_indices(c, hp, wp, k, s):
     ki = np.arange(k, dtype=np.int64)[None, None, None, :, None]
     kj = np.arange(k, dtype=np.int64)[None, None, None, None, :]
     idx = ((ci * hp + oi + ki) * wp + oj + kj).reshape(oh * ow, c * k * k)
+    # checked once here: im2col's evals may take it with mode="clip"
+    if idx.size and (idx.min() < 0 or idx.max() >= c * hp * wp):
+        raise ShapeError(f"im2col: {k}x{k} windows at stride {s} leave the {hp}x{wp} input")
     idx.setflags(write=False)              # shared by every caller through the cache
     return idx
 
@@ -623,11 +791,20 @@ def _eval_im2col(v, ctx):
     (n, c, h, w), idx, p = ctx["shape"], ctx["idx"], ctx["ksp"][2]
     x = v[0]
     if p:
-        x = np.zeros((n, c, h + 2 * p, w + 2 * p))
+        padded = (n, c, h + 2 * p, w + 2 * p)
+        x = _out(padded)
+        if x is None:
+            x = np.zeros(padded)
+        else:
+            x.fill(0.0)
         # += into zeros, not =, maps -0.0 to +0.0 like any sum into zeros does;
         # tests/test_conv_parity.py holds the border to the bits of a scatter_add
         x[:, :, p : p + h, p : p + w] += v[0]
-    return np.take(x.reshape(n, -1), idx, axis=1).reshape(n * idx.shape[0], idx.shape[1])
+    # "clip" writes straight into a given `out` ("raise" would buffer a copy);
+    # the table's range was checked when it was built
+    out = _out((n,) + idx.shape)
+    cols = np.take(x.reshape(n, -1), idx, axis=1, out=out, mode="raise" if out is None else "clip")
+    return cols.reshape(n * idx.shape[0], idx.shape[1])
 
 
 def _vjp_im2col(tape, node, out_id, g, needs):
@@ -644,7 +821,9 @@ def _eval_col2im(v, ctx):
     (n, c, h, w), p = ctx["shape"], ctx["ksp"][2]
     hp, wp = h + 2 * p, w + 2 * p
     idx, cols = ctx["idx"].ravel(), v[0].reshape(n, -1)
-    out = np.empty((n, c, h, w))
+    out = _out((n, c, h, w))
+    if out is None:
+        out = np.empty((n, c, h, w))
     for i in range(n):
         summed = np.bincount(idx, weights=cols[i], minlength=c * hp * wp)
         out[i] = summed.reshape(c, hp, wp)[:, p : p + h, p : p + w]

@@ -340,6 +340,8 @@ def train(config: TrainConfig, out_dir: str) -> RunRecord:
 
         step = 0
         for epoch in range(config.epochs):
+            # the epoch's first step plans the arena the later ones reuse
+            workspace = ad.Workspace()
             order = _epoch_order(
                 np.array([s.label for s in train_samples]),
                 stream(config.seed, "batch", epoch),
@@ -355,10 +357,11 @@ def train(config: TrainConfig, out_dir: str) -> RunRecord:
                 priors = (
                     batch_priors(chunk, tap_hw, config.sigma) if config.uses_pal else None
                 )
-                (ce, pal, total), grads = loss_and_grads(
-                    spec, params, images, labels, priors,
-                    config.tap, config.method, strategy, config.pal_weight,
-                )
+                with workspace:
+                    (ce, pal, total), grads = loss_and_grads(
+                        spec, params, images, labels, priors,
+                        config.tap, config.method, strategy, config.pal_weight,
+                    )
                 lr_t = poly_decay(config.lr, step, total_steps, config.decay_power)
                 params = adam_step(params, grads, state, lr_t)
                 record.steps.append(
@@ -367,6 +370,7 @@ def train(config: TrainConfig, out_dir: str) -> RunRecord:
                 emit(step, ce=ce, pal=pal, total=total)
                 step += 1
 
+            workspace.close()
             val_acc, _, _ = evaluate(spec, params, val_samples, eval_tap, eval_method,
                                      strategy, config.sigma, with_corr=False)
             record.val_acc.append(val_acc)
