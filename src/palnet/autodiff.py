@@ -195,7 +195,9 @@ def _fp_scope():
 _ARENA_MIN_BYTES = 256 * 1024
 _ALIGN = 64
 
-_WORKSPACE: ContextVar["Workspace | None"] = ContextVar("_WORKSPACE", default=None)
+# the Workspace whose ``with`` block is running, process-wide: a plain global
+# costs the ops run outside any workspace less than a ContextVar lookup
+_ACTIVE: "Workspace | None" = None
 
 
 def _nbytes(shape) -> int:
@@ -243,6 +245,7 @@ class Workspace:
 
     def __init__(self):
         self.nbytes = 0          # the arena's size once planned
+        self.high_water = 0      # the top byte the recording pass placed in its mapping
         self._count = 0          # requests made in the current pass
         self._map = None         # the mapping recorded into, then the arena
         self._log = []           # recording: [shape, requests made when it died]
@@ -251,17 +254,19 @@ class Workspace:
         self._slots = None       # planned: (shape, requests sharing its bytes) per request
         self._roots = []         # planned: the array on each slot
         self._idle = 0           # reference count of a slot array nobody holds
-        self._token = None
+        self._outer = None       # the workspace active around this one's block
 
     def __enter__(self):
+        global _ACTIVE
         self._count = 0
         if self._slots is None and self._map is None:
             self._map = _reserve()
-        self._token = _WORKSPACE.set(self)
+        self._outer, _ACTIVE = _ACTIVE, self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _WORKSPACE.reset(self._token)
+        global _ACTIVE
+        _ACTIVE, self._outer = self._outer, None
         if self._slots is not None:
             return
         if exc_type is None:
@@ -269,10 +274,12 @@ class Workspace:
         else:
             # the failed pass's arrays may outlive it: record afresh elsewhere
             self._map, self._log, self._watch, self._live = None, [], [], {}
+            self.high_water = 0
 
     def close(self):
         """Drop the arena; it is unmapped once no array on it is alive."""
         self._map, self._slots, self._roots, self.nbytes = None, None, [], 0
+        self.high_water = 0
         self._log, self._watch, self._live = [], [], {}
 
     def _died(self, k, _ref):
@@ -295,6 +302,7 @@ class Workspace:
             if self._map is not None and at + size <= len(self._map):
                 out = np.ndarray(shape, buffer=self._map, offset=at)
                 self._live[k] = (at, at + size)
+                self.high_water = max(self.high_water, at + size)
             else:
                 out = np.empty(shape)
             self._log.append([shape, None])
@@ -327,6 +335,11 @@ class Workspace:
             if self._live or self._map is None or self.nbytes > len(self._map):
                 # a recorded array still lives on the mapping, or there is none
                 self._map = mmap.mmap(-1, self.nbytes, flags=mmap.MAP_PRIVATE)
+            elif self.high_water > self.nbytes:
+                # give back the pages the recording pass touched above the arena
+                top = -(-self.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+                if self.high_water > top:
+                    self._map.madvise(mmap.MADV_DONTNEED, top, self.high_water - top)
             # touch every page now, so that no later pass faults
             np.frombuffer(self._map, dtype=np.uint8, count=self.nbytes)[:: mmap.PAGESIZE] = 0
             self._roots = [np.ndarray(shape, buffer=self._map, offset=o)
@@ -338,7 +351,7 @@ class Workspace:
 def _out(shape) -> np.ndarray | None:
     """The active Workspace's buffer for an op output, or None outside one:
     an eval passes it as ``out=`` and NumPy then allocates as it always did."""
-    ws = _WORKSPACE.get()
+    ws = _ACTIVE
     return None if ws is None else ws.take(shape)
 
 
@@ -427,7 +440,7 @@ def _binary(kind: str, fn: Callable) -> Callable:
     def eval_binary(v, ctx):
         a, b = v
         try:
-            ws = _WORKSPACE.get()
+            ws = _ACTIVE
             # the output is at least as large as either operand
             if ws is None or 8 * max(a.size, b.size) < _ARENA_MIN_BYTES:
                 return fn(a, b, dtype=np.float64)
@@ -695,8 +708,7 @@ def _eval_matmul(v, ctx):
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    out = _out((a.shape[0], b.shape[1]))
-    return a @ b if out is None else np.matmul(a, b, out=out)
+    return np.matmul(a, b, out=_out((a.shape[0], b.shape[1])))
 
 
 def _vjp_matmul(tape, node, out_id, g, needs):
@@ -802,8 +814,7 @@ def _eval_im2col(v, ctx):
         x[:, :, p : p + h, p : p + w] += v[0]
     # "clip" writes straight into a given `out` ("raise" would buffer a copy);
     # the table's range was checked when it was built
-    out = _out((n,) + idx.shape)
-    cols = np.take(x.reshape(n, -1), idx, axis=1, out=out, mode="raise" if out is None else "clip")
+    cols = np.take(x.reshape(n, -1), idx, axis=1, out=_out((n,) + idx.shape), mode="clip")
     return cols.reshape(n * idx.shape[0], idx.shape[1])
 
 

@@ -57,9 +57,13 @@ def test_arena_holds_no_more_than_a_plain_step_peak(method):
     workspace = ad.Workspace()
     with workspace:
         loss_and_grads(*args)
-    assert 0 < workspace.nbytes <= 1.2 * step_peak, (workspace.nbytes / 2**20, step_peak / 2**20)
+    # the recording pass places its arrays as they come, so the top of what
+    # it touched may lie above the planned arena; both count towards the RSS
+    mb = (workspace.nbytes / 2**20, workspace.high_water / 2**20, step_peak / 2**20)
+    assert 0 < workspace.nbytes <= 1.2 * step_peak, mb
+    assert 0 < workspace.high_water <= 1.2 * step_peak, mb
     workspace.close()
-    assert workspace.nbytes == 0
+    assert workspace.nbytes == workspace.high_water == 0
 
 
 def test_an_array_held_across_passes_is_never_overwritten():
