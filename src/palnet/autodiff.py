@@ -59,16 +59,18 @@ class TapeError(EngineError):
 
 
 class Node:
-    """One recorded op.  `value` is None unless a backward rule reads it."""
+    """One recorded op.  `value` is None unless a backward rule reads it;
+    `mask` is the boolean ``value > 0`` of an op whose rule reads only that."""
 
-    __slots__ = ("op", "inputs", "value", "shape", "ctx")
+    __slots__ = ("op", "inputs", "value", "shape", "ctx", "mask")
 
-    def __init__(self, op, inputs, value, shape, ctx):
+    def __init__(self, op, inputs, value, shape, ctx, mask=None):
         self.op = op
         self.inputs = inputs
         self.value = value
         self.shape = shape
         self.ctx = ctx
+        self.mask = mask
 
 
 class Tape:
@@ -76,6 +78,8 @@ class Tape:
 
     A node keeps its value only when a backward rule reads it: its own rule
     (see `_Op.keep_output`) or a recorded consumer's (see `_Op.keep_inputs`).
+    A rule that reads only where its output is positive (relu's, see
+    `_Op.keep_mask`) gets a boolean mask instead, an eighth of the bytes.
     Every other value is freed as soon as the caller drops its Tensor.
     """
 
@@ -136,7 +140,10 @@ class Tensor:
         return self.tape is not None
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor, whatever its shape."""
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a one-element tensor, got shape {self.shape}")
+        return self.data.item()
 
     def __repr__(self):
         tag = f", node={self.node}" if self.tracked else ""
@@ -153,6 +160,7 @@ class _Op(NamedTuple):
 
     eval: Callable
     keep_output: bool = False           # its backward rule reads its own output
+    keep_mask: bool = False             # its backward rule reads only ``output > 0``
     keep_inputs: tuple[int, ...] = ()   # positions of the inputs its backward rule reads
     check_finite: bool = True           # False for data movement: finite in, finite out
     takes_bool: bool = False            # its eval casts a boolean constant in NumPy's loop
@@ -424,7 +432,8 @@ def _apply(kind: str, inputs: Sequence, ctx=None) -> Tensor:
             nodes.append(Node("leaf", (), None, v.shape, None))
     for i in op.keep_inputs:
         nodes[ids[i]].value = values[i]
-    nodes.append(Node(kind, tuple(ids), out if op.keep_output else None, out.shape, ctx))
+    nodes.append(Node(kind, tuple(ids), out if op.keep_output else None, out.shape, ctx,
+                      out > 0.0 if op.keep_mask else None))
     return Tensor(out, tape, len(nodes) - 1)
 
 
@@ -554,16 +563,19 @@ def neg(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _vjp_relu(tape, node, out_id, g, needs):
-    # for finite x, max(x, 0) > 0 exactly when x > 0; mul casts the boolean
-    # mask in its loop, so no float mask is made
-    return [mul(g, tape.nodes[out_id].value > 0.0)]
+    # for finite x, max(x, 0) > 0 exactly when x > 0; the mask was made when
+    # the op was recorded, and mul casts it in its loop, so no float mask is made
+    if node.mask is None:
+        raise TapeError(f"node {out_id} ('relu') kept no mask on the tape")
+    return [mul(g, node.mask)]
 
 
-# C order whatever the input's layout: relu's output is every tap, the relu
-# VJP's mask and max-pool's input, and conv2d hands it the transposed matmul
-# result, with or without a bias
+# C order whatever the input's layout: relu's output is every tap, the source
+# of its mask and max-pool's input, and conv2d hands it the transposed matmul
+# result, with or without a bias.  The tape keeps the mask, not the output, so
+# the output dies once the next op has read it
 _register("relu", lambda v, ctx: np.maximum(v[0], 0.0, order="C", out=_out(v[0].shape)),
-          _vjp_relu, keep_output=True, check_finite=False)
+          _vjp_relu, keep_mask=True, check_finite=False)
 
 
 def _vjp_abs(tape, node, out_id, g, needs):
@@ -1008,7 +1020,8 @@ def backward(out: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> 
 def finite_diff(f: Callable, x, eps: float = 1e-5) -> Tensor:
     """Central-difference gradient of scalar-valued `f` at `x`.
 
-    `f` receives an untracked Tensor and must return a scalar Tensor or float.
+    `f` receives an untracked Tensor and must return a one-element Tensor or
+    array, whatever its shape, or a float.
     Deliberately independent of the tape machinery above.
     """
     if eps <= 0:
@@ -1020,7 +1033,7 @@ def finite_diff(f: Callable, x, eps: float = 1e-5) -> Tensor:
 
     def _eval_at() -> float:
         r = f(Tensor(buf.copy()))
-        val = float(r.data) if isinstance(r, Tensor) else float(r)
+        val = (r if isinstance(r, Tensor) else Tensor(r)).item()
         if not np.isfinite(val):
             raise NonFiniteError("finite_diff: objective returned non-finite value")
         return val

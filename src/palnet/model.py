@@ -173,7 +173,7 @@ class ForwardTrace:
 
 
 def forward(spec: ModelSpec, params: Parameters, batch, tape: Tape | None = None,
-            grad_from: str | None = None) -> ForwardTrace:
+            grad_from: str | None = None, keep_taps=None) -> ForwardTrace:
     """Run the classifier; taps hold the exact tensors used downstream.
 
     With `grad_from` naming a tap, `tape` records only from that tap to the
@@ -181,6 +181,9 @@ def forward(spec: ModelSpec, params: Parameters, batch, tape: Tape | None = None
     blocks up to the tap run untracked, the tap enters the tape as a leaf,
     later parameters enter as constants, and earlier taps are not kept.  The
     values are those of the fully recorded forward, bit for bit.
+
+    `keep_taps` names the taps the trace holds, all of them by default; a
+    tap it does not hold is freed once the next block has read it.
     """
     batch_arr = batch.data if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
     c, h, w = spec.in_shape
@@ -189,6 +192,11 @@ def forward(spec: ModelSpec, params: Parameters, batch, tape: Tape | None = None
     if grad_from is not None and grad_from not in spec.tap_names():
         raise ModelError(f"'{grad_from}' is not a tap of '{spec.name}' "
                          f"(have: {spec.tap_names()})")
+    if keep_taps is None:
+        keep_taps = spec.tap_names()
+    elif not set(keep_taps) <= set(spec.tap_names()):
+        raise ModelError(f"{sorted(set(keep_taps) - set(spec.tap_names()))} are not taps "
+                         f"of '{spec.name}' (have: {spec.tap_names()})")
 
     if tape is not None and grad_from is None:
         leaves = {k: tape.leaf(v) for k, v in params.items()}
@@ -206,7 +214,7 @@ def forward(spec: ModelSpec, params: Parameters, batch, tape: Tape | None = None
         tap = f"relu{i + 1}"
         if tap == grad_from and tape is not None:
             x = tape.leaf(x.data)
-        if x.tracked or tape is None:
+        if tap in keep_taps and (x.tracked or tape is None):
             taps[tap] = x
         if blk.pool:
             x = ad.maxpool2d(x, blk.pool, blk.pool)

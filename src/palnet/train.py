@@ -149,14 +149,18 @@ def training_loss(
     a PAL objective records only from the tap to the logits, which is all the
     attribution's plain backward reads; cross-entropy and the total are taken
     off the tape, from the logits' values.
+
+    The trace holds the tap of a PAL objective and no tap of a CE-only one,
+    so every other relu output is freed as soon as the next block reads it.
     """
+    keep = () if method == "none" else (tap,)
     with ad._fp_scope():
         if create_graph:
-            trace = forward(spec, params, images, Tape())
+            trace = forward(spec, params, images, Tape(), keep_taps=keep)
         elif method == "none":
-            trace = forward(spec, params, images)
+            trace = forward(spec, params, images, keep_taps=keep)
         else:
-            trace = forward(spec, params, images, Tape(), grad_from=tap)
+            trace = forward(spec, params, images, Tape(), grad_from=tap, keep_taps=keep)
         logits = trace.logits if create_graph else Tensor(trace.logits.data)
         ce = softmax_cross_entropy(logits, labels)
         if method == "none":

@@ -363,6 +363,30 @@ def test_finite_diff_examples():
         ad.finite_diff(lambda t: t, np.array([1.0]), eps=0.0)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1, 1)])
+def test_a_one_element_value_of_any_shape_is_a_scalar(shape):
+    # backward, item() and finite_diff all take a one-element output as is
+    assert Tensor(np.full(shape, 2.5)).item() == 2.5
+    tape = Tape()
+    x = tracked(tape, [3.0, -1.0])
+    (g,) = ad.backward(ad.reshape(ad.reduce_sum(ad.mul(x, x)), shape), [x])
+    npt.assert_array_equal(g.data, [6.0, -2.0])
+    fd = ad.finite_diff(lambda t: ad.reshape(ad.reduce_sum(ad.mul(t, t)), shape), x.data)
+    npt.assert_allclose(fd.data, [6.0, -2.0], atol=1e-7)
+    fd = ad.finite_diff(lambda t: np.full(shape, t.data @ t.data), x.data)
+    npt.assert_allclose(fd.data, [6.0, -2.0], atol=1e-7)
+
+
+@pytest.mark.parametrize("shape", [(0,), (2,), (1, 2)])
+def test_a_value_of_other_than_one_element_is_no_scalar(shape):
+    with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+        Tensor(np.ones(shape)).item()
+    with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+        ad.finite_diff(lambda t: Tensor(np.ones(shape)), np.ones(2))
+    with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+        ad.finite_diff(lambda t: np.ones(shape), np.ones(2))
+
+
 def _square(y):
     return ad.mul(y, y)
 
@@ -553,6 +577,7 @@ def test_boolean_constant_of_other_ops_is_float():
 
 
 def _relu_vjp_float_mask(tape, node, out_id, g, needs):
+    # the reference keeps relu's float output and makes a float mask from it
     return [ad.mul(g, (tape.nodes[out_id].value > 0.0).astype(np.float64))]
 
 
@@ -576,6 +601,7 @@ def _relu_episode():
 
 def test_relu_gradients_match_a_float_mask_reference(monkeypatch):
     got = _relu_episode()
+    monkeypatch.setitem(ad._OPS, "relu", ad._OPS["relu"]._replace(keep_output=True))
     monkeypatch.setitem(ad._VJP, "relu", _relu_vjp_float_mask)
     want = _relu_episode()
     assert all(np.abs(g).max() > 0 for g in want[1:])

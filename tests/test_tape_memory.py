@@ -3,6 +3,7 @@ one training step at a time, and in evaluation only the tap-to-logits tail."""
 
 import importlib.util
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from palnet import autodiff as ad
 from palnet.attribution import GRAD_INPUT, ChannelStrategy, attribution
 from palnet.autodiff import Tape, TapeError
 from palnet.data import LandmarkSet, Sample, generate_dataset, manifest_path
+from palnet.heatmap import standardize_map
 from palnet.model import forward, init_params, softmax_cross_entropy, toy64
 from palnet.train import TrainConfig, evaluate, train, training_loss
 
@@ -67,14 +69,18 @@ def test_op_keeps_exactly_the_values_its_record_names(case, create_graph):
     assert node.op == kind
     named = {node.inputs[i] for i in op.keep_inputs} | ({out.node} if op.keep_output else set())
     assert {i for i, n in enumerate(tape.nodes) if n.value is not None} == named
+    masked = {out.node} if op.keep_mask else set()
+    assert {i for i, n in enumerate(tape.nodes) if n.mask is not None} == masked
     loss = ad.reduce_sum(out)
-    for nid in named:
-        # every value the record names is read: by tape.tensor (TapeError) or,
-        # in the relu and abs rules, straight off the node (TypeError on None)
-        value, tape.nodes[nid].value = tape.nodes[nid].value, None
+    for nid, slot in [(nid, "value") for nid in named] + [(nid, "mask") for nid in masked]:
+        # every value and mask the record names is read: by tape.tensor or the
+        # relu rule (TapeError) or, in the abs rule, straight off the node
+        # (TypeError on None)
+        kept = getattr(tape.nodes[nid], slot)
+        setattr(tape.nodes[nid], slot, None)
         with pytest.raises((TapeError, TypeError)):
             ad.backward(loss, xs, create_graph=create_graph)
-        tape.nodes[nid].value = value
+        setattr(tape.nodes[nid], slot, kept)
     # and a value the rule reads but the record does not name would raise here
     grads = ad.backward(loss, xs, create_graph=create_graph)
     for x, g in zip(xs, grads):
@@ -105,10 +111,69 @@ def test_tape_keeps_only_values_backward_reads():
         block = _conv_block_nodes(tape, trace.taps[name].node)
         for op in ("matmul", "add", "reshape", "transpose"):
             assert block[op].value is None, f"{name}: {op} output kept"
-        for op in ("relu", "im2col"):
-            assert block[op].value is not None, f"{name}: {op} output dropped"
-        assert block["matmul"].shape == (2 * block["relu"].shape[2] * block["relu"].shape[3],
-                                         block["relu"].shape[1])
+        assert block["im2col"].value is not None, f"{name}: im2col output dropped"
+        # relu keeps its boolean mask; only grad_input's mul keeps the relu1 tap
+        relu = block["relu"]
+        assert relu.mask.dtype == np.bool_ and relu.mask.shape == relu.shape, name
+        assert (relu.value is not None) == (name == "relu1"), f"{name}: relu output"
+        assert block["matmul"].shape == (2 * relu.shape[2] * relu.shape[3], relu.shape[1])
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_relu_gradients_hold_where_a_consumer_keeps_its_output(create_graph):
+    # mul keeps relu's output in the node's value; relu's rule reads the mask
+    rng = np.random.default_rng(1)
+    xv = rng.normal(size=(3, 4))
+    xv[0, :2] = 0.0                                  # relu'(0) = 0
+    tape = Tape()
+    x = tape.leaf(xv)
+    r = ad.relu(x)
+    loss = ad.reduce_sum(ad.mul(r, r))
+    node = tape.nodes[r.node]
+    assert node.value is r.data and node.mask.dtype == np.bool_
+    (g,) = ad.backward(loss, [x], create_graph=create_graph)
+    assert g.data.tobytes() == (2.0 * np.maximum(xv, 0.0)).tobytes()
+    if create_graph:
+        # second order: d/dx sum(g^2) = 8 relu(x) relu'(x)
+        (h,) = ad.backward(ad.reduce_sum(ad.mul(g, g)), [x])
+        assert h.data.tobytes() == (8.0 * np.maximum(xv, 0.0)).tobytes()
+
+
+def _relu_outputs(monkeypatch) -> list:
+    """Weak references to every relu output made from now on."""
+    refs = []
+    op = ad._OPS["relu"]
+
+    def eval_relu(v, ctx):
+        out = op.eval(v, ctx)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setitem(ad._OPS, "relu", op._replace(eval=eval_relu))
+    return refs
+
+
+@pytest.mark.parametrize("method", ["none", GRAD_INPUT])
+def test_a_recorded_training_loss_holds_only_the_tap_its_objective_reads(method, monkeypatch):
+    spec = toy64()
+    rng = np.random.default_rng(0)
+    images = rng.uniform(size=(2, 1, 64, 64))
+    priors = None if method == "none" else np.stack(
+        [standardize_map(rng.uniform(size=spec.tap_shapes()["relu4"][1:])) for _ in range(2)])
+    refs = _relu_outputs(monkeypatch)
+    breakdown, trace = training_loss(spec, init_params(spec, 0), images, np.array([0, 3]),
+                                     priors, "relu4", method, ChannelStrategy("mean"), 1.0)
+    # the forward makes the first four; any later relu is the objective's own
+    assert len(refs) >= len(spec.tap_names())
+    alive = [ref() for ref in refs if ref() is not None]
+    if method == "none":
+        assert trace.taps == {} and alive == []
+    else:
+        assert list(trace.taps) == ["relu4"]
+        assert len(alive) == 1 and alive[0] is trace.taps["relu4"].data
+    # the masks are enough for the backward to every parameter
+    grads = ad.backward(breakdown.tensor, list(trace.params.values()))
+    assert all(np.abs(g.data).max() > 0 for g in grads)
 
 
 def _peak_bytes(fn):
