@@ -173,7 +173,8 @@ class ForwardTrace:
 
 
 def forward(spec: ModelSpec, params: Parameters, batch, tape: Tape | None = None,
-            grad_from: str | None = None, keep_taps=None) -> ForwardTrace:
+            grad_from: str | None = None,
+            keep_taps: tuple[str, ...] | None = None) -> ForwardTrace:
     """Run the classifier; taps hold the exact tensors used downstream.
 
     With `grad_from` naming a tap, `tape` records only from that tap to the

@@ -55,6 +55,21 @@ def test_default_spec_taps_match_shape_oracle():
         assert trace.taps[name].shape == (2, c, h, w)
 
 
+@pytest.mark.parametrize("tape", [None, Tape()], ids=["untracked", "recorded"])
+def test_forward_holds_only_the_taps_its_caller_names(tape):
+    spec = toy64()
+    params = init_params(spec, 0)
+    batch = np.random.default_rng(0).uniform(size=(2, 1, 64, 64))
+    every = forward(spec, params, batch)
+    for keep in [(), ("relu2",), ("relu4", "relu1")]:
+        trace = forward(spec, params, batch, tape, keep_taps=keep)
+        assert sorted(trace.taps) == sorted(keep)
+        assert all(trace.taps[k].data.tobytes() == every.taps[k].data.tobytes() for k in keep)
+        assert trace.logits.data.tobytes() == every.logits.data.tobytes()
+    with pytest.raises(ModelError, match=r"\['relu9'\] are not taps"):
+        forward(spec, params, batch, tape, keep_taps=("relu1", "relu9"))
+
+
 def test_default_spec_is_small():
     assert toy64().param_count() < 200_000
 
