@@ -12,7 +12,7 @@ factor anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,16 +25,13 @@ class HeatmapError(Exception):
 class LandmarkSet:
     """K points in (x, y) pixel coordinates, origin at the top-left pixel center."""
 
-    points: np.ndarray                       # (K, 2) float64
-    clamped: np.ndarray = field(default=None)  # (K,) bool, set by transforms
+    points: np.ndarray  # (K, 2) float64
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise HeatmapError(f"landmarks must be (K, 2), got {pts.shape}")
         object.__setattr__(self, "points", pts)
-        if self.clamped is None:
-            object.__setattr__(self, "clamped", np.zeros(len(pts), dtype=bool))
 
     def __len__(self):
         return len(self.points)
@@ -81,7 +78,7 @@ def transform_landmarks(
     """Rotate about the image center, then mirror horizontally if `flip`.
 
     Must stay in lockstep with the image augmentation; points pushed off the
-    canvas are clamped back and flagged.
+    canvas are clamped back onto it.
     """
     if abs(theta_deg) > 45.0:
         raise HeatmapError(f"rotation {theta_deg} exceeds the +-45 degree contract")
@@ -93,10 +90,7 @@ def transform_landmarks(
     yr = cy + st * x + ct * y
     if flip:
         xr = (width - 1) - xr
-    clamped_x = np.clip(xr, 0.0, width - 1)
-    clamped_y = np.clip(yr, 0.0, height - 1)
-    flags = (clamped_x != xr) | (clamped_y != yr)
-    return LandmarkSet(np.stack([clamped_x, clamped_y], axis=1), flags)
+    return LandmarkSet(np.stack([np.clip(xr, 0.0, width - 1), np.clip(yr, 0.0, height - 1)], 1))
 
 
 def build_prior(

@@ -88,11 +88,19 @@ def total_loss(ce: Tensor, pal: Tensor | None, weight: float = 1.0) -> LossBreak
     return LossBreakdown(ce=ce_val, pal=pal_val, total=total, weight=weight, tensor=tensor)
 
 
-def pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain correlation of two flattened maps; 0 when either is constant."""
-    a = a.ravel().astype(np.float64)
-    b = b.ravel().astype(np.float64)
-    sa, sb = a.std(), b.std()
-    if sa < 1e-12 or sb < 1e-12:
-        return 0.0
-    return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
+def pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
+    """Plain correlation of (..., H, W) maps over their last two axes; 0 where
+    either map is constant.
+
+    Leading axes broadcast, and each map reduces on its own, so a stack of maps
+    gives the bits of one call per map.  One map, or a 1-D vector, gives a float.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a = a.reshape(a.shape[:-2] + (-1,))
+    b = b.reshape(b.shape[:-2] + (-1,))
+    sa, sb = a.std(axis=-1), b.std(axis=-1)
+    cov = ((a - a.mean(axis=-1, keepdims=True))
+           * (b - b.mean(axis=-1, keepdims=True))).mean(axis=-1)
+    constant = (sa < 1e-12) | (sb < 1e-12)
+    return np.divide(cov, sa * sb, out=np.zeros_like(cov), where=~constant)[()]

@@ -74,7 +74,6 @@ class TrainConfig:
     seed: int = 0
     augment: bool = True
     val_fraction: float = 0.1
-    balanced_batches: bool = False
     bias: bool = True
     config_id: str = ""
 
@@ -210,11 +209,14 @@ def evaluate(
     method: str,
     strategy: ChannelStrategy,
     sigma: float,
-    batch_size: int = 64,
+    batch_size: int = 16,
     with_corr: bool = True,
 ) -> tuple[float, np.ndarray, float]:
     """Top-1 accuracy, confusion counts, and mean per-sample attribution-prior
-    correlation (computed with the given attribution settings)."""
+    correlation (computed with the given attribution settings).
+
+    Samples are scored in chunks of `batch_size`, and the results' last bits
+    can depend on it (README, Determinism)."""
     n_classes = spec.n_classes
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     correct = 0
@@ -246,11 +248,8 @@ def _evaluate_chunk(spec, params, chunk, images, tap, method, strategy, sigma):
     amap = attribution(trace, tap, method, create_graph=False)
     reduced = reduce_channels(amap, strategy).data
     priors = batch_priors(chunk, reduced.shape[2:], sigma)
-    corrs = [
-        float(np.mean([pearson(reduced[i, c], priors[i]) for c in range(reduced.shape[1])]))
-        for i in range(len(chunk))
-    ]
-    return predictions(trace.logits), corrs
+    corrs = pearson(reduced, priors[:, None]).mean(axis=1)
+    return predictions(trace.logits), corrs.tolist()
 
 
 def stratified_split(labels: np.ndarray, fraction: float, rng: np.random.Generator):
@@ -263,22 +262,6 @@ def stratified_split(labels: np.ndarray, fraction: float, rng: np.random.Generat
         held.extend(idx[:n_held])
         main.extend(idx[n_held:])
     return np.sort(np.array(main)), np.sort(np.array(held))
-
-
-def _epoch_order(labels: np.ndarray, rng: np.random.Generator, balanced: bool) -> np.ndarray:
-    if not balanced:
-        return rng.permutation(len(labels))
-    # round-robin over shuffled per-class pools
-    pools = []
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        pools.append(list(idx[rng.permutation(len(idx))]))
-    order = []
-    while any(pools):
-        for pool in pools:
-            if pool:
-                order.append(pool.pop())
-    return np.array(order, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +329,7 @@ def train(config: TrainConfig, out_dir: str) -> RunRecord:
         for epoch in range(config.epochs):
             # the epoch's first step plans the arena the later ones reuse
             workspace = ad.Workspace()
-            order = _epoch_order(
-                np.array([s.label for s in train_samples]),
-                stream(config.seed, "batch", epoch),
-                config.balanced_batches,
-            )
+            order = stream(config.seed, "batch", epoch).permutation(len(train_samples))
             for b0 in range(0, len(order), config.batch_size):
                 if step >= total_steps:
                     break

@@ -16,7 +16,8 @@ import palnet
 from palnet.ablation import aggregate_rows, run_grid
 from palnet.attribution import ChannelStrategy
 from palnet.cli import main as cli_main
-from palnet.data import generate_dataset, load_manifest, load_sample, manifest_path, mask_landmark_patches
+from palnet.data import (LandmarkSet, Sample, generate_dataset, load_manifest, load_sample,
+                         manifest_path, mask_landmark_patches)
 from palnet.model import get_spec, init_params, load_checkpoint, save_checkpoint
 from palnet.pgm import read_pgm
 from palnet.train import CSV_COLUMNS, TrainConfig, evaluate, train
@@ -199,6 +200,27 @@ def test_untrained_model_is_at_chance_and_confusion_counts(micro_dataset):
     assert confusion.sum() == len(samples)
 
 
+@pytest.mark.parametrize("name,bias,taps", [("toy64", True, ("relu2", "relu4")),
+                                            ("toy64", False, ("relu2", "relu4")),
+                                            ("tiny16", True, ("relu1", "relu2"))])
+def test_evaluate_default_chunk_matches_a_chunk_of_64(name, bias, taps):
+    # 70 samples, so the last chunk is ragged either way: 4 x 16 + 6 and 64 + 6
+    spec = get_spec(name, bias=bias)
+    params = init_params(spec, 3)
+    h, w = spec.in_shape[1:]
+    rng = np.random.default_rng(8)
+    samples = [Sample(rng.uniform(size=(h, w)),
+                      LandmarkSet(rng.uniform(1.0, h - 2.0, size=(9, 2))), i % spec.n_classes)
+               for i in range(70)]
+    for tap in taps:
+        for method in ("grad", "grad_input"):
+            for strategy in ("all", "mean", "mean_of_half"):
+                strat = ChannelStrategy.parse(strategy)
+                acc, confusion, corr = evaluate(spec, params, samples, tap, method, strat, 3.0)
+                want = evaluate(spec, params, samples, tap, method, strat, 3.0, batch_size=64)
+                assert (acc, confusion.tobytes(), corr) == (want[0], want[1].tobytes(), want[2])
+
+
 def test_occlusion_drops_trained_model_to_chance(trained_baseline):
     spec, params = trained_baseline["spec"], trained_baseline["params"]
     manifest = load_manifest(trained_baseline["test"])
@@ -285,17 +307,6 @@ def test_train_config_validation_and_ids(micro_dataset):
     assert cfg.config_id == "baseline"
     cfg = micro_config(micro_dataset, method="grad_input", strategy="mean_of_half")
     assert "grad_input" in cfg.config_id and "relu4" in cfg.config_id
-
-
-def test_balanced_batch_order_round_robins_classes():
-    from palnet.seeding import stream
-    from palnet.train import _epoch_order
-
-    labels = np.repeat(np.arange(7), 20)
-    order = _epoch_order(labels, stream(0, "bal"), balanced=True)
-    assert sorted(order) == list(range(140))
-    first_batch = labels[order[:14]]
-    npt.assert_array_equal(np.bincount(first_batch, minlength=7), np.full(7, 2))
 
 
 def test_total_steps_truncates_training(tmp_path, micro_dataset):

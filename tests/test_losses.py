@@ -1,6 +1,8 @@
 """Loss checks: z-scoring, the correlation loss identities, and the total
 objective's linearity."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -182,3 +184,39 @@ def test_pearson_basics():
     assert abs(pearson(a, a) - 1.0) < 1e-12
     assert abs(pearson(a, -a) + 1.0) < 1e-12
     assert pearson(a, np.ones(64)) == 0.0
+
+
+def one_map_pearson(a, b):
+    """Reference: one flattened map at a time, with no stacking or broadcasting."""
+    a, b = a.ravel(), b.ravel()
+    sa, sb = a.std(), b.std()
+    if sa < 1e-12 or sb < 1e-12:
+        return 0.0
+    return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
+
+
+@pytest.mark.parametrize("channels", [1, 32])
+def test_pearson_of_a_stack_has_the_bits_of_one_map_at_a_time(channels):
+    rng = np.random.default_rng(channels)
+    for _ in range(20):
+        maps = rng.normal(size=(16, channels, 8, 8)) * rng.uniform(0.01, 100.0)
+        maps[3, 0] = 0.0
+        priors = rng.normal(size=(16, 8, 8))
+        got = pearson(maps, priors[:, None])
+        want = np.array([[one_map_pearson(maps[i, c], priors[i]) for c in range(channels)]
+                         for i in range(16)])
+        assert got.shape == (16, channels)
+        assert got.tobytes() == want.tobytes()
+        assert pearson(maps[5, 0], priors[5]) == want[5, 0]
+
+
+def test_pearson_of_a_constant_map_is_zero_without_a_warning():
+    rng = np.random.default_rng(11)
+    maps = rng.normal(size=(2, 3, 4, 4))
+    maps[1, 2] = 0.0
+    maps[0, 1] = 5.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pearson(maps, rng.normal(size=(2, 1, 4, 4)))
+        assert got[1, 2] == 0.0 and got[0, 1] == 0.0
+        assert pearson(np.zeros((4, 4)), np.zeros((4, 4))) == 0.0

@@ -210,13 +210,15 @@ def test_train_holds_one_step_tape_at_a_time(tmp_path):
 def test_evaluate_with_attribution_peaks_like_an_untracked_forward():
     # the attribution's backward runs from the logits to relu4, so evaluation
     # records only that tail; recording the whole stack kept every conv's
-    # im2col columns and every relu output, about 1.8x the forward's peak
+    # im2col columns and every relu output, about 1.8x the forward's peak.
+    # 64 samples are scored in chunks of 16, so the peak is one chunk's
+    # (about 0.8x a 16-sample forward; 3.1x with chunks of 64)
     spec = toy64()
     params = init_params(spec, 0)
     rng = np.random.default_rng(0)
     samples = [Sample(rng.uniform(size=(64, 64)), LandmarkSet(rng.uniform(8.0, 56.0, size=(5, 2))),
                       i % spec.n_classes) for i in range(64)]
-    images = np.stack([s.image for s in samples])[:, None, :, :]
+    images = np.stack([s.image for s in samples[:16]])[:, None, :, :]
 
     forward_peak = _peak_bytes(lambda: forward(spec, params, images))
     eval_peak = _peak_bytes(lambda: evaluate(spec, params, samples, "relu4", GRAD_INPUT,
