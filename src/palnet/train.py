@@ -1,10 +1,11 @@
 """Training loop and evaluation: cross-entropy plus the attribution prior term.
 
-One tape per step: forward, cross-entropy, attribution at the tap with a
-recorded backward pass, channel reduction, prior correlation loss, then a
-single backward over the combined objective and an Adam update with
-polynomially decayed learning rate.  The checkpoint that maximizes validation
-accuracy is kept.
+One tape per step, or per chunk of `CHUNK` samples of a larger batch:
+forward, cross-entropy, attribution at the tap with a recorded backward pass,
+channel reduction, prior correlation loss, then a single backward over the
+combined objective.  The chunks' gradients are summed, weighted by size, into
+one Adam update with polynomially decayed learning rate.  The checkpoint that
+maximizes validation accuracy is kept.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ from .optim import adam_step, init_adam, poly_decay
 from .seeding import stream
 
 METHODS = (GRAD, GRAD_INPUT, "none")
+
+# samples per chunk of a training step and of `evaluate`
+CHUNK = 16
 
 CSV_COLUMNS = [
     "config_id", "seed", "step|epoch", "ce", "pal", "total",
@@ -185,6 +189,35 @@ def loss_and_grads(spec, params, images, labels, priors, tap, method, strategy, 
     return (breakdown.ce, breakdown.pal, breakdown.total), grads
 
 
+def step_loss_and_grads(spec, params, images, labels, priors, tap, method, strategy, weight):
+    """`loss_and_grads` of a training batch, run in chunks of at most `CHUNK` samples.
+
+    Both loss terms are per-sample means, and the attribution differentiates
+    the logit sum of samples that never interact, so the batch's floats and
+    gradients are its chunks' weighted by chunk size / batch size and summed.
+    Only one chunk's tape lives at a time, so a step's memory does not grow
+    with the batch.  A batch of `CHUNK` or fewer samples is one plain call.
+    """
+    n = len(images)
+    if n <= CHUNK:
+        return loss_and_grads(spec, params, images, labels, priors, tap, method, strategy, weight)
+    floats, grads = [0.0, 0.0, 0.0], {}
+    for start in range(0, n, CHUNK):
+        part = slice(start, start + CHUNK)
+        share = len(images[part]) / n
+        chunk_floats, chunk_grads = loss_and_grads(
+            spec, params, images[part], labels[part], None if priors is None else priors[part],
+            tap, method, strategy, weight,
+        )
+        floats = [f + share * c for f, c in zip(floats, chunk_floats)]
+        for k, g in chunk_grads.items():
+            if k in grads:
+                grads[k] += share * g
+            else:
+                grads[k] = share * g
+    return tuple(floats), grads
+
+
 def batch_priors(samples: list, tap_hw: tuple[int, int], sigma: float) -> np.ndarray:
     h, w = samples[0].image.shape
     return np.stack([build_prior(s.landmarks, h, w, tap_hw, sigma) for s in samples])
@@ -209,7 +242,7 @@ def evaluate(
     method: str,
     strategy: ChannelStrategy,
     sigma: float,
-    batch_size: int = 16,
+    batch_size: int = CHUNK,
     with_corr: bool = True,
 ) -> tuple[float, np.ndarray, float]:
     """Top-1 accuracy, confusion counts, and mean per-sample attribution-prior
@@ -333,15 +366,15 @@ def train(config: TrainConfig, out_dir: str) -> RunRecord:
             for b0 in range(0, len(order), config.batch_size):
                 if step >= total_steps:
                     break
-                chunk = [train_samples[i] for i in order[b0 : b0 + config.batch_size]]
+                batch = [train_samples[i] for i in order[b0 : b0 + config.batch_size]]
                 if config.augment:
-                    chunk = [augment(s, aug_rng) for s in chunk]
-                images, labels = _batch_arrays(chunk)
+                    batch = [augment(s, aug_rng) for s in batch]
+                images, labels = _batch_arrays(batch)
                 priors = (
-                    batch_priors(chunk, tap_hw, config.sigma) if config.uses_pal else None
+                    batch_priors(batch, tap_hw, config.sigma) if config.uses_pal else None
                 )
                 with workspace:
-                    (ce, pal, total), grads = loss_and_grads(
+                    (ce, pal, total), grads = step_loss_and_grads(
                         spec, params, images, labels, priors,
                         config.tap, config.method, strategy, config.pal_weight,
                     )

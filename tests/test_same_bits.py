@@ -38,8 +38,8 @@ RUNS = {
      "882855a177fab43e56b70bbbe8286002ae180570c6fe1d065923582b62e4fcc6",
      "a732b580beb5705b97b1af813abf617e2a4725b97115b7a128d660b7b1752242"),
     ("ce_b64_noaug",
-     "8af173bc79cb6e3aeba297367ea9f3f420cd6321d3bb17ec6f5f8c98f167f0fe",
-     "2f6f2dc3874ba55d81579f4a8b7c7556ae1dca48ae380cb36ce51a4c7adaeb4e"),
+     "7ecfb5079c027406af522906130964fa6f19370d222ad94acd7d5421035d4882",
+     "8cd1f9af27548d1d946285032c95005665588d8e1c614736241ef29be6d87e09"),
 ])
 def test_one_epoch_bits_are_pinned(tmp_path, name, ckpt_sha256, record_digest):
     config = dict(RUNS[name])
@@ -52,7 +52,7 @@ def test_one_epoch_bits_are_pinned(tmp_path, name, ckpt_sha256, record_digest):
     record = train(cfg, str(tmp_path / "run"))
     with open(record.checkpoint, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == ckpt_sha256
-    # the step rows, and the three evaluations that run in chunks of 64
+    # the step rows, and the three evaluations that run in chunks of 16
     assert _digest(record.steps, record.test_acc, record.test_corr,
                    record.corr_start, record.corr_end) == record_digest
 

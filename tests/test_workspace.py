@@ -1,6 +1,8 @@
 """The training step's arena (`autodiff.Workspace`): it holds no more than a
 step needs, never overwrites a live array, keeps every bit, and leaves the
-steps after an epoch's first without page faults."""
+steps after an epoch's first without page faults.  A step runs in chunks, so
+its arena does not grow with the batch, and the chunks' weighted gradients
+match one call over the whole batch."""
 
 import importlib
 import resource
@@ -14,7 +16,7 @@ from palnet.attribution import ChannelStrategy
 from palnet.data import generate_dataset, manifest_path
 from palnet.heatmap import LandmarkSet, build_prior
 from palnet.model import init_params, toy64
-from palnet.train import TrainConfig, loss_and_grads, training_loss
+from palnet.train import CHUNK, TrainConfig, loss_and_grads, step_loss_and_grads, training_loss
 
 # the attribute `palnet.train` is the train() function; take the module
 train_module = importlib.import_module("palnet.train")
@@ -183,29 +185,85 @@ def test_recording_without_an_address_space_reserve_keeps_the_bytes(monkeypatch)
     assert workspace.nbytes > 0
 
 
-def test_steps_after_an_epochs_first_take_no_page_faults(tmp_path, monkeypatch):
-    # 63 samples keep 56 for training: 7 full batches of 8
+def _step_faults(tmp_path, monkeypatch, n: int, batch_size: int) -> list:
+    """Minor faults of each step of a one-epoch grad_input run on n samples."""
     root = str(tmp_path / "ds")
-    generate_dataset(root, seed=3, n=63, split="train")
+    generate_dataset(root, seed=3, n=n, split="train")
     generate_dataset(root, seed=3, n=7, split="test")
     config = TrainConfig(train_manifest=manifest_path(root, "train"),
                          test_manifest=manifest_path(root, "test"),
-                         method="grad_input", batch_size=8, epochs=1, seed=3)
+                         method="grad_input", batch_size=batch_size, epochs=1, seed=3)
     faults = []
+    step = train_module.step_loss_and_grads
 
     def counted(*args):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        out = loss_and_grads(*args)
+        out = step(*args)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         return out
 
-    monkeypatch.setattr(train_module, "loss_and_grads", counted)
+    monkeypatch.setattr(train_module, "step_loss_and_grads", counted)
     # the first run in a process also settles the C allocator's thresholds
     train_module.train(config, str(tmp_path / "warm"))
     faults.clear()
     train_module.train(config, str(tmp_path / "run"))
+    return faults
+
+
+def test_steps_after_an_epochs_first_take_no_page_faults(tmp_path, monkeypatch):
+    # 63 samples keep 56 for training: 7 full batches of 8
+    faults = _step_faults(tmp_path, monkeypatch, 63, 8)
     assert len(faults) == 7
     assert all(f < 100 for f in faults[1:]), faults
+
+
+def test_a_chunked_steps_ragged_last_chunk_is_planned_too(tmp_path, monkeypatch):
+    # 134 samples keep 120 for training: 3 batches of 40, each run in
+    # chunks of 16, 16 and 8, all inside one workspace block
+    faults = _step_faults(tmp_path, monkeypatch, 134, 40)
+    assert len(faults) == 3
+    assert all(f < 100 for f in faults[1:]), faults
+
+
+@pytest.mark.parametrize("n", [64, 40])     # 40 ends in a ragged chunk of 8
+@pytest.mark.parametrize("method,strategy", [("none", "mean_of_half"),
+                                             ("grad_input", "mean_of_half"),
+                                             ("grad", "all")])
+def test_a_chunked_step_matches_one_call_over_the_whole_batch(method, strategy, n):
+    args = _step_args(method, n)[:7] + (ChannelStrategy.parse(strategy), 0.1)
+    floats, grads = step_loss_and_grads(*args)
+    floats0, grads0 = loss_and_grads(*args)
+    assert floats == pytest.approx(floats0, rel=1e-14, abs=0.0)
+    assert grads.keys() == grads0.keys()
+    for k in grads0:
+        err = np.abs(grads[k] - grads0[k]).max()
+        assert err <= 1e-13 * np.abs(grads0[k]).max(), (k, err)
+
+
+@pytest.mark.parametrize("n", [CHUNK, 5])
+def test_a_batch_of_one_chunk_is_one_plain_call(n, monkeypatch):
+    args = _step_args("grad_input", n)
+    returned = []
+
+    def spy(*a):
+        returned.append(loss_and_grads(*a))
+        return returned[-1]
+
+    monkeypatch.setattr(train_module, "loss_and_grads", spy)
+    got = step_loss_and_grads(*args)
+    assert len(returned) == 1 and got is returned[0]     # nothing weighted or copied
+    assert _same_bytes(got, loss_and_grads(*args))
+
+
+def test_a_chunked_steps_arena_does_not_grow_with_the_batch():
+    arenas = []
+    for n in (CHUNK, 4 * CHUNK):
+        workspace = ad.Workspace()
+        with workspace:
+            step_loss_and_grads(*_step_args("none", n))
+        arenas.append(workspace.nbytes)
+        workspace.close()
+    assert 0 < arenas[1] <= 1.05 * arenas[0], [a / 2**20 for a in arenas]
 
 
 def test_an_out_of_range_im2col_table_raises_a_palnet_error():
