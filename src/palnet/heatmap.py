@@ -59,19 +59,6 @@ def standardize_map(h: np.ndarray) -> np.ndarray:
     return (h - mean) / std
 
 
-def match_resolution(h: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Block-average a 2-D map down to (out_h, out_w), then re-standardize."""
-    in_h, in_w = h.shape
-    if out_h > in_h or out_w > in_w:
-        raise HeatmapError(f"cannot upscale {h.shape} to {(out_h, out_w)}")
-    if in_h % out_h or in_w % out_w:
-        raise HeatmapError(
-            f"non-integer downscale factor: {h.shape} -> {(out_h, out_w)}"
-        )
-    fh, fw = in_h // out_h, in_w // out_w
-    return standardize_map(h.reshape(out_h, fh, out_w, fw).mean(axis=(1, 3)))
-
-
 def transform_landmarks(
     lms: LandmarkSet, theta_deg: float, flip: bool, height: int, width: int
 ) -> LandmarkSet:
@@ -100,8 +87,21 @@ def build_prior(
     tap_hw: tuple[int, int] | None = None,
     sigma: float = 3.0,
 ) -> np.ndarray:
-    """Full pipeline: Gaussian render, standardize, optionally match a tap."""
-    prior = standardize_map(gaussian_heatmap(lms, height, width, sigma))
-    if tap_hw is not None and tuple(tap_hw) != prior.shape:
-        prior = match_resolution(prior, *tap_hw)
-    return prior
+    """The standardized Gaussian map, block-averaged down to `tap_hw`, standardized.
+
+    Rendered separably, as one (th, K) @ (K, tw) product of each axis's
+    block-averaged 1-D Gaussians (README, "How the loss works")."""
+    if sigma <= 0:
+        raise HeatmapError("sigma must be positive")
+    out_h, out_w = tap_hw or (height, width)
+    if height % out_h or width % out_w:     # an upscale leaves a remainder too
+        raise HeatmapError(f"{(out_h, out_w)} is not an integer downscale of {(height, width)}")
+
+    def block_means(n: int, out: int, centers: np.ndarray) -> np.ndarray:
+        d2 = (np.arange(n, dtype=np.float64)[:, None] - centers) ** 2
+        blocks = np.exp(-d2 / (2.0 * sigma * sigma)).reshape(out, n // out, len(centers))
+        return blocks.mean(axis=1)
+
+    rows = block_means(height, out_h, lms.points[:, 1])
+    cols = block_means(width, out_w, lms.points[:, 0])
+    return standardize_map(rows @ cols.T)

@@ -48,7 +48,7 @@ from .seeding import stream
 METHODS = (GRAD, GRAD_INPUT, "none")
 
 # samples per chunk of a training step and of `evaluate`
-CHUNK = 16
+CHUNK = 8
 
 CSV_COLUMNS = [
     "config_id", "seed", "step|epoch", "ce", "pal", "total",
@@ -84,6 +84,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise TrainError(f"method must be one of {METHODS}, got '{self.method}'")
+        for name in ("batch_size", "epochs", "total_steps"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise TrainError(f"{name} must be at least 1, got {value}")
         if not self.config_id:
             if self.method == "none":
                 self.config_id = "baseline"

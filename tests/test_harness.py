@@ -20,7 +20,7 @@ from palnet.data import (LandmarkSet, Sample, generate_dataset, load_manifest, l
                          manifest_path, mask_landmark_patches)
 from palnet.model import get_spec, init_params, load_checkpoint, save_checkpoint
 from palnet.pgm import read_pgm
-from palnet.train import CSV_COLUMNS, TrainConfig, evaluate, train
+from palnet.train import CSV_COLUMNS, TrainConfig, TrainError, evaluate, train
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +204,7 @@ def test_untrained_model_is_at_chance_and_confusion_counts(micro_dataset):
                                             ("toy64", False, ("relu2", "relu4")),
                                             ("tiny16", True, ("relu1", "relu2"))])
 def test_evaluate_default_chunk_matches_a_chunk_of_64(name, bias, taps):
-    # 70 samples, so the last chunk is ragged either way: 4 x 16 + 6 and 64 + 6
+    # 70 samples, so the last chunk is ragged either way: 8 x 8 + 6 and 64 + 6
     spec = get_spec(name, bias=bias)
     params = init_params(spec, 3)
     h, w = spec.in_shape[1:]
@@ -307,6 +307,29 @@ def test_train_config_validation_and_ids(micro_dataset):
     assert cfg.config_id == "baseline"
     cfg = micro_config(micro_dataset, method="grad_input", strategy="mean_of_half")
     assert "grad_input" in cfg.config_id and "relu4" in cfg.config_id
+
+
+@pytest.mark.parametrize("field,value", [("batch_size", -4), ("batch_size", 0), ("epochs", -1),
+                                         ("epochs", 0), ("total_steps", 0)])
+def test_train_config_rejects_sizes_below_one(micro_dataset, field, value):
+    # unchecked, batch_size -4 trains no step and saves the initial weights,
+    # 0 divides by zero, and epochs -1 leaves no checkpoint to load
+    message = f"{field} must be at least 1, got {value}"
+    with pytest.raises(TrainError, match=message):
+        micro_config(micro_dataset, **{field: value})
+    raw = {"train_manifest": micro_dataset["train"], "test_manifest": micro_dataset["test"],
+           field: value}
+    with pytest.raises(TrainError, match=message):
+        TrainConfig.from_dict(raw)
+
+
+def test_cli_train_names_a_bad_batch_size(tmp_path, micro_dataset, capsys):
+    rc = cli_main(["train", "--train-manifest", micro_dataset["train"],
+                   "--test-manifest", micro_dataset["test"], "--out", str(tmp_path / "run"),
+                   "--batch-size", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: batch_size must be at least 1, got 0\n"
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_total_steps_truncates_training(tmp_path, micro_dataset):

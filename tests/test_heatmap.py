@@ -1,5 +1,5 @@
-"""Prior heatmap checks: the Gaussian closed form,
-standardization, resolution matching, and landmark transforms."""
+"""Prior heatmap checks: the Gaussian closed form, standardization, landmark
+transforms, and the separable prior at tap resolution."""
 
 import math
 
@@ -12,7 +12,6 @@ from palnet.heatmap import (
     LandmarkSet,
     build_prior,
     gaussian_heatmap,
-    match_resolution,
     standardize_map,
     transform_landmarks,
 )
@@ -88,39 +87,6 @@ def test_standardize_rejects_constant_map():
 
 
 # ---------------------------------------------------------------------------
-# resolution matching
-# ---------------------------------------------------------------------------
-
-
-def test_match_resolution_block_means():
-    blocks = np.kron(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones((2, 2)))
-    pooled = match_resolution(blocks, 2, 2)
-    want = standardize_map(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    npt.assert_allclose(pooled, want, atol=1e-12)
-
-
-def test_match_resolution_identity_factor():
-    m = np.random.default_rng(1).uniform(size=(8, 8))
-    pooled = match_resolution(m, 8, 8)
-    npt.assert_allclose(pooled, standardize_map(m), atol=1e-12)
-
-
-def test_match_resolution_preserves_peak_location():
-    m = gaussian_heatmap(lms((21.0, 37.0)), 64, 64, sigma=3.0)
-    pooled = match_resolution(standardize_map(m), 16, 16)
-    i, j = np.unravel_index(np.argmax(pooled), pooled.shape)
-    assert abs(i - 37 // 4) <= 1 and abs(j - 21 // 4) <= 1
-
-
-def test_match_resolution_rejects_bad_factors():
-    m = np.random.default_rng(2).uniform(size=(10, 10))
-    with pytest.raises(HeatmapError, match="non-integer"):
-        match_resolution(m, 4, 4)
-    with pytest.raises(HeatmapError):
-        match_resolution(m, 20, 20)
-
-
-# ---------------------------------------------------------------------------
 # landmark transforms
 # ---------------------------------------------------------------------------
 
@@ -159,8 +125,57 @@ def test_flip_equivariance_of_gaussian():
 
 
 # ---------------------------------------------------------------------------
-# full pipeline
+# the prior at tap resolution
 # ---------------------------------------------------------------------------
+
+
+def reference_prior(points, height, width, tap_hw, sigma):
+    """The full-resolution pipeline `build_prior` must agree with: render every
+    pixel, standardize, block-average down to the tap, standardize again."""
+    full = standardize_map(gaussian_heatmap(points, height, width, sigma))
+    th, tw = tap_hw
+    return standardize_map(full.reshape(th, height // th, tw, width // tw).mean(axis=(1, 3)))
+
+
+EDGES = [(0.0, 0.0), (63.0, 63.0), (0.0, 63.0), (63.0, 0.0), (0.0, 31.5), (40.25, 63.0)]
+
+# each pipeline alone lies within 9.3e-15 of a long-double render; at sigma 1
+# a corner landmark's peak reaches 46, where the two differ by up to 1.6e-14
+TOLERANCE = {1.0: 2e-14, 3.0: 1e-14}
+
+
+@pytest.mark.parametrize("tap", [8, 16, 64])
+@pytest.mark.parametrize("sigma", [1.0, 3.0])
+def test_build_prior_matches_the_full_resolution_pipeline(sigma, tap):
+    rng = np.random.default_rng(tap)
+    sets = [rng.uniform(0.0, 63.0, size=(rng.integers(1, 13), 2)) for _ in range(25)]
+    sets += [[p] for p in EDGES] + [EDGES, EDGES[:2] + [(31.5, 31.5)]]
+    for points in sets:
+        got = build_prior(lms(*points), 64, 64, (tap, tap), sigma)
+        want = reference_prior(lms(*points), 64, 64, (tap, tap), sigma)
+        assert got.shape == (tap, tap)
+        assert np.abs(got - want).max() <= TOLERANCE[sigma], points
+
+
+def test_build_prior_block_means():
+    # block-averaging the full-resolution prior and re-standardizing gives the tap's
+    points = lms((20, 20), (44, 44), (9.5, 51.25))
+    full = build_prior(points, 64, 64)
+    pooled = standardize_map(full.reshape(16, 4, 16, 4).mean(axis=(1, 3)))
+    npt.assert_allclose(build_prior(points, 64, 64, (16, 16)), pooled, atol=1e-14)
+
+
+def test_build_prior_identity_factor():
+    points = lms((3.5, 4.25), (10.0, 2.0), (7.7, 11.1))
+    same = build_prior(points, 14, 15, (14, 15))
+    npt.assert_array_equal(same, build_prior(points, 14, 15))
+    npt.assert_allclose(same, standardize_map(gaussian_heatmap(points, 14, 15)), atol=1e-14)
+
+
+def test_build_prior_preserves_peak_location():
+    pooled = build_prior(lms((21.0, 37.0)), 64, 64, (16, 16))
+    i, j = np.unravel_index(np.argmax(pooled), pooled.shape)
+    assert abs(i - 37 // 4) <= 1 and abs(j - 21 // 4) <= 1
 
 
 def test_build_prior_is_standardized_at_tap_resolution():
@@ -168,3 +183,21 @@ def test_build_prior_is_standardized_at_tap_resolution():
     assert prior.shape == (16, 16)
     assert abs(prior.mean()) < 1e-9
     assert abs(prior.var() - 1.0) < 1e-9
+
+
+def test_build_prior_rejects_bad_sigma_factors_and_constant_maps():
+    points = lms((4, 5))
+    with pytest.raises(HeatmapError, match="sigma"):
+        build_prior(points, 64, 64, (16, 16), sigma=0.0)
+    with pytest.raises(HeatmapError, match="sigma"):
+        build_prior(points, 64, 64, (16, 16), sigma=-1.0)
+    with pytest.raises(HeatmapError, match="not an integer downscale"):
+        build_prior(points, 10, 10, (4, 4))
+    with pytest.raises(HeatmapError, match="not an integer downscale"):
+        build_prior(points, 10, 10, (20, 20))                          # an upscale
+    with pytest.raises(HeatmapError, match="not an integer downscale"):
+        build_prior(points, 10, 10, (10, 20))
+    with pytest.raises(HeatmapError, match="degenerate prior"):
+        build_prior(LandmarkSet(np.zeros((0, 2))), 64, 64, (16, 16))   # no landmarks
+    with pytest.raises(HeatmapError, match="degenerate prior"):
+        build_prior(points, 64, 64, (1, 1))                           # one pixel

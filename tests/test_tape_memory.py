@@ -211,8 +211,8 @@ def test_evaluate_with_attribution_peaks_like_an_untracked_forward():
     # the attribution's backward runs from the logits to relu4, so evaluation
     # records only that tail; recording the whole stack kept every conv's
     # im2col columns and every relu output, about 1.8x the forward's peak.
-    # 64 samples are scored in chunks of 16, so the peak is one chunk's
-    # (about 0.8x a 16-sample forward; 3.1x with chunks of 64)
+    # 64 samples are scored in chunks of 8, so the peak is one chunk's
+    # (about 0.4x a 16-sample forward; 0.8x with chunks of 16, 3.1x with 64)
     spec = toy64()
     params = init_params(spec, 0)
     rng = np.random.default_rng(0)

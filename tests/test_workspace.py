@@ -24,6 +24,7 @@ train_module = importlib.import_module("palnet.train")
 SPEC = toy64()
 PARAMS = init_params(SPEC, 0)
 STRATEGY = ChannelStrategy.parse("mean_of_half")
+RAGGED = 2 * CHUNK + CHUNK // 2     # a batch that ends in a chunk of CHUNK // 2
 
 
 def _step_args(method: str, n: int, seed: int = 0) -> tuple:
@@ -218,14 +219,15 @@ def test_steps_after_an_epochs_first_take_no_page_faults(tmp_path, monkeypatch):
 
 
 def test_a_chunked_steps_ragged_last_chunk_is_planned_too(tmp_path, monkeypatch):
-    # 134 samples keep 120 for training: 3 batches of 40, each run in
-    # chunks of 16, 16 and 8, all inside one workspace block
-    faults = _step_faults(tmp_path, monkeypatch, 134, 40)
-    assert len(faults) == 3
+    # 134 samples keep 120 for training: whole batches of RAGGED, each run in
+    # two full chunks and a half one, all inside one workspace block
+    assert RAGGED % CHUNK and 120 % RAGGED == 0
+    faults = _step_faults(tmp_path, monkeypatch, 134, RAGGED)
+    assert len(faults) == 120 // RAGGED
     assert all(f < 100 for f in faults[1:]), faults
 
 
-@pytest.mark.parametrize("n", [64, 40])     # 40 ends in a ragged chunk of 8
+@pytest.mark.parametrize("n", [64, RAGGED])
 @pytest.mark.parametrize("method,strategy", [("none", "mean_of_half"),
                                              ("grad_input", "mean_of_half"),
                                              ("grad", "all")])
@@ -264,6 +266,18 @@ def test_a_chunked_steps_arena_does_not_grow_with_the_batch():
         arenas.append(workspace.nbytes)
         workspace.close()
     assert 0 < arenas[1] <= 1.05 * arenas[0], [a / 2**20 for a in arenas]
+
+
+def test_a_chunked_paper_arm_step_plans_about_half_the_arena_of_one_call():
+    # the paper's arm, B=16 at relu4, runs as two chunks of 8
+    arenas = []
+    for step in (step_loss_and_grads, loss_and_grads):
+        workspace = ad.Workspace()
+        with workspace:
+            step(*_step_args("grad_input", 16))
+        arenas.append(workspace.nbytes)
+        workspace.close()
+    assert 0 < arenas[0] <= 0.55 * arenas[1], [a / 2**20 for a in arenas]
 
 
 def test_an_out_of_range_im2col_table_raises_a_palnet_error():
