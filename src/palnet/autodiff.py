@@ -32,11 +32,10 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import sys
 import weakref
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -196,7 +195,7 @@ def _fp_scope():
 
 
 # ---------------------------------------------------------------------------
-# workspace: planned buffers for the large outputs of a repeated pass
+# workspace: one arena for the large outputs of a repeated pass
 # ---------------------------------------------------------------------------
 
 # op outputs at least this large come from the active Workspace
@@ -225,135 +224,66 @@ def _fit(taken, size: int) -> int:
 
 
 def _reserve() -> mmap.mmap | None:
-    """Address space for a recording pass, as large as the machine's memory,
-    which no pass outgrows; only the pages it touches take memory."""
+    """Address space for the arena, as large as the machine's memory, which
+    no pass outgrows; only the pages it touches take memory."""
     try:
         size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
     except (OSError, ValueError):
-        return None               # an address-space limit: record into fresh blocks
+        return None               # an address-space limit: no arena
 
 
 class Workspace:
     """One arena for the large op outputs of a pass that repeats, such as a
-    training step, planned from the first pass run inside ``with workspace:``.
+    training step, run inside ``with workspace:``.
 
-    The first pass records every output of at least `_ARENA_MIN_BYTES` that
-    an eval asks for (see `take`): its shape, and how many requests had been
-    made when a weakref saw it die.  It places them as it goes in one
-    anonymous mapping.  On exit the lifetimes are laid out again, greedily by
-    size, so that buffers alive at the same time never share bytes; the same
-    mapping holds the layout, so the pages the first pass touched are not
-    faulted in again, and the rest are touched once.  Each later pass hands
-    request k its planned slot if the shape matches and no array lives on
-    that slot or on any slot sharing its bytes (NumPy views hold their base,
-    so reference counts see them); any other request gets a fresh block.  A
-    stale plan costs speed, never bits.  `close` drops the arena.
+    Every output of at least `_ARENA_MIN_BYTES` that an eval asks for (see
+    `take`) goes in the smallest gap between the byte ranges of the arena
+    arrays still alive, or at their top if none fits, in one anonymous
+    mapping that stays mapped from pass to pass.  A weakref frees an array's
+    range when it dies; NumPy views hold their base, so a live view keeps
+    it.  A pass that asks for what the last one did, holding nothing over,
+    gets the same offsets and faults in no new pages.  Where the mapping
+    cannot be made there is no arena, and evals allocate as outside one.
+    `close` drops the arena.
     """
 
     def __init__(self):
-        self.nbytes = 0          # the arena's size once planned
-        self.high_water = 0      # the top byte the recording pass placed in its mapping
-        self._count = 0          # requests made in the current pass
-        self._map = None         # the mapping recorded into, then the arena
-        self._log = []           # recording: [shape, requests made when it died]
-        self._watch = []         # recording: the weakrefs that fill in deaths
-        self._live = {}          # recording: request -> its live byte range in _map
-        self._slots = None       # planned: (shape, requests sharing its bytes) per request
-        self._roots = []         # planned: the array on each slot
-        self._idle = 0           # reference count of a slot array nobody holds
-        self._outer = None       # the workspace active around this one's block
+        self.high_water = 0      # the top byte ever placed in the arena
+        self._map = None         # the arena, reserved on first entry
+        self._live = {}          # id of a live arena array -> its byte range
 
     def __enter__(self):
         global _ACTIVE
-        self._count = 0
-        if self._slots is None and self._map is None:
+        if self._map is None:
             self._map = _reserve()
-        self._outer, _ACTIVE = _ACTIVE, self
+        if self._map is not None:
+            _ACTIVE = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
         global _ACTIVE
-        _ACTIVE, self._outer = self._outer, None
-        if self._slots is not None:
-            return
-        if exc_type is None:
-            self._plan()
-        else:
-            # the failed pass's arrays may outlive it: record afresh elsewhere
-            self._map, self._log, self._watch, self._live = None, [], [], {}
-            self.high_water = 0
+        _ACTIVE = None
 
     def close(self):
         """Drop the arena; it is unmapped once no array on it is alive."""
-        self._map, self._slots, self._roots, self.nbytes = None, None, [], 0
-        self.high_water = 0
-        self._log, self._watch, self._live = [], [], {}
-
-    def _died(self, k, _ref):
-        self._log[k][1] = self._count
-        self._live.pop(k, None)
-
-    def _refs(self, k) -> int:
-        return sys.getrefcount(self._roots[k])
+        self._map, self._live, self.high_water = None, {}, 0
 
     def take(self, shape) -> np.ndarray:
         """An uninitialised float64 buffer for an op output; one below
-        `_ARENA_MIN_BYTES` is neither recorded nor planned."""
+        `_ARENA_MIN_BYTES` comes from NumPy."""
         if 8 * math.prod(shape) < _ARENA_MIN_BYTES:
             return np.empty(shape)
-        k = self._count
-        self._count += 1
-        if self._slots is None:
-            size = _nbytes(shape)
-            at = _fit(self._live.values(), size)
-            if self._map is not None and at + size <= len(self._map):
-                out = np.ndarray(shape, buffer=self._map, offset=at)
-                self._live[k] = (at, at + size)
-                self.high_water = max(self.high_water, at + size)
-            else:
-                out = np.empty(shape)
-            self._log.append([shape, None])
-            self._watch.append(weakref.ref(out, partial(self._died, k)))
-            return out
-        if k < len(self._slots):
-            slot_shape, shares = self._slots[k]
-            if slot_shape == shape and all(self._refs(j) == self._idle for j in shares):
-                return self._roots[k]
-        return np.empty(shape)
-
-    def _plan(self):
-        # request k lives over [k, death); two requests may share bytes only
-        # if one died before the other was made
-        n = len(self._log)
-        spans = [(k, n if death is None else death) for k, (_, death) in enumerate(self._log)]
-        sizes = [_nbytes(shape) for shape, _ in self._log]
-        offsets = [0] * n
-        placed = []
-        for k in sorted(range(n), key=lambda k: -sizes[k]):
-            offsets[k] = _fit([(offsets[j], offsets[j] + sizes[j]) for j in placed
-                               if spans[j][0] < spans[k][1] and spans[k][0] < spans[j][1]],
-                              sizes[k])
-            placed.append(k)
-        self.nbytes = max((o + s for o, s in zip(offsets, sizes)), default=0)
-        self._slots = [(shape, [j for j in range(n) if offsets[j] < offsets[k] + sizes[k]
-                                and offsets[k] < offsets[j] + sizes[j]])
-                       for k, (shape, _) in enumerate(self._log)]
-        if self.nbytes:
-            if self._live or self._map is None or self.nbytes > len(self._map):
-                # a recorded array still lives on the mapping, or there is none
-                self._map = mmap.mmap(-1, self.nbytes, flags=mmap.MAP_PRIVATE)
-            elif self.high_water > self.nbytes:
-                # give back the pages the recording pass touched above the arena
-                top = -(-self.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
-                if self.high_water > top:
-                    self._map.madvise(mmap.MADV_DONTNEED, top, self.high_water - top)
-            # touch every page now, so that no later pass faults
-            np.frombuffer(self._map, dtype=np.uint8, count=self.nbytes)[:: mmap.PAGESIZE] = 0
-            self._roots = [np.ndarray(shape, buffer=self._map, offset=o)
-                           for (shape, _), o in zip(self._slots, offsets)]
-            self._idle = self._refs(0)
-        self._log, self._watch, self._live = [], [], {}
+        size = _nbytes(shape)
+        at = _fit(self._live.values(), size)
+        if at + size > len(self._map):
+            return np.empty(shape)
+        out = np.ndarray(shape, buffer=self._map, offset=at)
+        # an array's id is not reused before its weakref callback has run
+        self._live[id(out)] = (at, at + size)
+        weakref.finalize(out, self._live.pop, id(out), None)
+        self.high_water = max(self.high_water, at + size)
+        return out
 
 
 def _out(shape) -> np.ndarray | None:

@@ -102,7 +102,10 @@ def cmd_eval(args) -> int:
 def cmd_attribute(args) -> int:
     spec, params = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    indices = [int(s) for s in args.samples.split(",")]
+    try:
+        indices = [int(s) for s in args.samples.split(",")]
+    except ValueError:
+        raise DataError(f"--samples takes comma-separated indices, got '{args.samples}'") from None
     samples = [load_sample(manifest, i) for i in indices]
     images = np.stack([s.image for s in samples])[:, None, :, :]
     strategy = ChannelStrategy.parse(args.strategy)

@@ -256,6 +256,8 @@ def load_manifest(path: str) -> DatasetManifest:
 
 
 def load_sample(manifest: DatasetManifest, index: int) -> Sample:
+    if not 0 <= index < len(manifest):
+        raise DataError(f"sample index {index} is outside [0, {len(manifest)})")
     return Sample(to_unit_float(manifest.images[index]),
                   LandmarkSet(manifest.landmarks[index].copy()), manifest.labels[index])
 

@@ -94,7 +94,8 @@ def build_prior(
     if sigma <= 0:
         raise HeatmapError("sigma must be positive")
     out_h, out_w = tap_hw or (height, width)
-    if height % out_h or width % out_w:     # an upscale leaves a remainder too
+    # an upscale leaves a remainder too; a size below 1 divides nothing
+    if min(out_h, out_w) < 1 or height % out_h or width % out_w:
         raise HeatmapError(f"{(out_h, out_w)} is not an integer downscale of {(height, width)}")
 
     def block_means(n: int, out: int, centers: np.ndarray) -> np.ndarray:

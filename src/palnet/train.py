@@ -88,6 +88,10 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise TrainError(f"{name} must be at least 1, got {value}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise TrainError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
+        if not 0.0 < self.lr < math.inf:
+            raise TrainError(f"lr must be finite and above 0, got {self.lr}")
         if not self.config_id:
             if self.method == "none":
                 self.config_id = "baseline"
@@ -364,7 +368,7 @@ def train(config: TrainConfig, out_dir: str) -> RunRecord:
 
         step = 0
         for epoch in range(config.epochs):
-            # the epoch's first step plans the arena the later ones reuse
+            # the epoch's first step lays out the arena the later ones reuse
             workspace = ad.Workspace()
             order = stream(config.seed, "batch", epoch).permutation(len(train_samples))
             for b0 in range(0, len(order), config.batch_size):

@@ -3,6 +3,7 @@ evaluation semantics, the ablation grid, and attribution export."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -309,12 +310,20 @@ def test_train_config_validation_and_ids(micro_dataset):
     assert "grad_input" in cfg.config_id and "relu4" in cfg.config_id
 
 
+RANGES = {"val_fraction": r"lie in \(0, 1\)", "lr": "be finite and above 0"}
+
+
 @pytest.mark.parametrize("field,value", [("batch_size", -4), ("batch_size", 0), ("epochs", -1),
-                                         ("epochs", 0), ("total_steps", 0)])
+                                         ("epochs", 0), ("total_steps", 0),
+                                         ("val_fraction", 1.0), ("val_fraction", -0.5),
+                                         ("val_fraction", 0.0), ("lr", -1.0), ("lr", 0.0),
+                                         ("lr", math.nan), ("lr", math.inf)])
 def test_train_config_rejects_sizes_below_one(micro_dataset, field, value):
     # unchecked, batch_size -4 trains no step and saves the initial weights,
-    # 0 divides by zero, and epochs -1 leaves no checkpoint to load
-    message = f"{field} must be at least 1, got {value}"
+    # 0 divides by zero, and epochs -1 leaves no checkpoint to load;
+    # val_fraction 1.0 holds out every sample, 0.0 and -0.5 still one a
+    # class, and lr -1.0 climbs the loss
+    message = f"{field} must {RANGES.get(field, 'be at least 1')}, got {value}"
     with pytest.raises(TrainError, match=message):
         micro_config(micro_dataset, **{field: value})
     raw = {"train_manifest": micro_dataset["train"], "test_manifest": micro_dataset["test"],
@@ -391,3 +400,22 @@ def test_cli_eval_bad_manifest_is_one_error_line(tmp_path, micro_dataset, capsys
     rc = cli_main(["eval", "--checkpoint", ckpt, "--manifest", path])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("samples,message", [
+    ("70", "sample index 70 is outside [0, 70)"),
+    ("0,-1", "sample index -1 is outside [0, 70)"),
+    ("x", "--samples takes comma-separated indices, got 'x'"),
+], ids=["past-the-end", "negative", "not-an-integer"])
+def test_cli_attribute_bad_samples_is_one_error_line(tmp_path, micro_dataset, capsys,
+                                                     samples, message):
+    # unchecked, 70 and x ended in tracebacks and -1 exported the last sample
+    spec = get_spec("toy64")
+    ckpt = str(tmp_path / "init.ckpt")
+    save_checkpoint(ckpt, spec, init_params(spec, seed=0))
+    out = tmp_path / "maps"
+    rc = cli_main(["attribute", "--checkpoint", ckpt, "--manifest", micro_dataset["test"],
+                   "--samples", samples, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -197,6 +197,10 @@ def test_build_prior_rejects_bad_sigma_factors_and_constant_maps():
         build_prior(points, 10, 10, (20, 20))                          # an upscale
     with pytest.raises(HeatmapError, match="not an integer downscale"):
         build_prior(points, 10, 10, (10, 20))
+    with pytest.raises(HeatmapError, match="not an integer downscale"):
+        build_prior(points, 64, 64, (0, 16))                            # was ZeroDivisionError
+    with pytest.raises(HeatmapError, match="not an integer downscale"):
+        build_prior(points, 64, 64, (-16, 16))                          # was a NumPy ValueError
     with pytest.raises(HeatmapError, match="degenerate prior"):
         build_prior(LandmarkSet(np.zeros((0, 2))), 64, 64, (16, 16))   # no landmarks
     with pytest.raises(HeatmapError, match="degenerate prior"):

@@ -1,15 +1,21 @@
 """The training step's arena (`autodiff.Workspace`): it holds no more than a
-step needs, never overwrites a live array, keeps every bit, and leaves the
-steps after an epoch's first without page faults.  A step runs in chunks, so
-its arena does not grow with the batch, and the chunks' weighted gradients
-match one call over the whole batch."""
+step needs, never overwrites a live array, keeps every bit, gives a repeated
+pass the first one's offsets and leaves the steps after an epoch's first
+without page faults; a stateful fuzz runs random op sequences through it.  A
+step runs in chunks, so its arena does not grow with the batch, and the
+chunks' weighted gradients match one call over the whole batch."""
 
+import contextlib
 import importlib
+import mmap
 import resource
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
 from palnet import autodiff as ad
 from palnet.attribution import ChannelStrategy
@@ -60,22 +66,23 @@ def test_arena_holds_no_more_than_a_plain_step_peak(method):
     workspace = ad.Workspace()
     with workspace:
         loss_and_grads(*args)
-    # the recording pass places its arrays as they come, so the top of what
-    # it touched may lie above the planned arena; both count towards the RSS
-    mb = (workspace.nbytes / 2**20, workspace.high_water / 2**20, step_peak / 2**20)
-    assert 0 < workspace.nbytes <= 1.2 * step_peak, mb
+    mb = (workspace.high_water / 2**20, step_peak / 2**20)
     assert 0 < workspace.high_water <= 1.2 * step_peak, mb
-    # the first pass places arrays as they come; arrays that die early keep
-    # its top near the plan's, where arrays held to the step's end spread it
-    assert workspace.high_water <= 1.05 * workspace.nbytes, mb
     workspace.close()
-    assert workspace.nbytes == workspace.high_water == 0
+    assert workspace.high_water == 0
 
 
 def _first_columns(breakdown) -> np.ndarray:
     """The first conv's im2col columns, which the tape keeps for matmul's
     rule and the arena serves."""
     return next(node.value for node in breakdown.tensor.tape.nodes if node.op == "im2col")
+
+
+def _in_arena(a: np.ndarray) -> bool:
+    """Whether `a` is an arena array, whose base is the mapping, or a view
+    of one, whose base NumPy ends at that array."""
+    return isinstance(a.base, mmap.mmap) or (
+        isinstance(a.base, np.ndarray) and isinstance(a.base.base, mmap.mmap))
 
 
 def test_an_array_held_across_passes_is_never_overwritten():
@@ -86,24 +93,24 @@ def test_an_array_held_across_passes_is_never_overwritten():
         breakdown, trace = training_loss(*args)
         names = sorted(trace.params)
         grads = ad.backward(breakdown.tensor, [trace.params[k] for k in names])
-        # a view of the first conv's columns: a slot array is its base
+        # a view of the first conv's columns, whose base is an arena array
         return _first_columns(breakdown)[:, 1:], {k: g.data for k, g in zip(names, grads)}
 
     with workspace:
-        recorded, _ = step(batches[0])     # records; held past its pass
+        first, _ = step(batches[0])
     with workspace:
         held, _ = step(batches[1])
-    assert any(held.base is root for root in workspace._roots)
-    kept = [recorded.copy(), held.copy()]
+    assert _in_arena(first) and _in_arena(held)
+    kept = [first.copy(), held.copy()]
     for args in batches[2:]:
         with workspace:
             _, grads = step(args)
-        assert [recorded.tobytes(), held.tobytes()] == [a.tobytes() for a in kept]
+        assert [first.tobytes(), held.tobytes()] == [a.tobytes() for a in kept]
         _, want = step(args)
         assert all(grads[k].tobytes() == want[k].tobytes() for k in want)
 
 
-def test_no_slot_sharing_bytes_with_a_held_array_is_handed_out():
+def test_the_bytes_of_a_dead_array_are_reused_and_a_held_ones_are_not():
     x = np.random.default_rng(0).uniform(-1.0, 1.0, size=(64, 1024))   # 512 KiB outputs
     held = []
 
@@ -112,48 +119,58 @@ def test_no_slot_sharing_bytes_with_a_held_array_is_handed_out():
         b = ad.mul(a, 2.0)
         if hold:
             held.append(a.data)
+        first = a.data.ctypes.data
         del a
-        return ad.relu(b).data
+        out = ad.relu(b).data
+        return out, out.ctypes.data == first
 
     workspace = ad.Workspace()
     with workspace:
-        run(x)
+        _, reused = run(x)
     # the first relu's output died before the last relu asked for a buffer
-    assert 0 in workspace._slots[2][1]
+    assert reused
     with workspace:
-        run(x, hold=True)
+        _, reused = run(x, hold=True)
+    assert not reused
     kept = held[0].copy()
     with workspace:
-        got = run(-x)
+        got, _ = run(-x)
     assert held[0].tobytes() == kept.tobytes()
-    assert got.tobytes() == run(-x).tobytes()
+    assert got.tobytes() == run(-x)[0].tobytes()
 
 
-def test_a_changed_request_sequence_gets_fresh_blocks_and_the_same_bytes(monkeypatch):
-    served = []                    # per large request: was it a planned slot
+def test_repeated_passes_keep_the_first_passes_offsets(monkeypatch):
+    offsets = []                   # per pass: each large request's offset
     take = ad.Workspace.take
 
     def spy(self, shape):
         out = take(self, shape)
-        if 8 * np.prod(shape) >= ad._ARENA_MIN_BYTES and self._slots is not None:
-            served.append(any(out is root for root in self._roots))
+        if 8 * np.prod(shape) >= ad._ARENA_MIN_BYTES:
+            offsets[-1].append(out.ctypes.data)
         return out
 
     monkeypatch.setattr(ad.Workspace, "take", spy)
     workspace = ad.Workspace()
-    for i, n in enumerate([16, 16, 7, 16]):
+    high_water = []
+    for seed in range(3):
+        offsets.append([])
+        with workspace:
+            step_loss_and_grads(*_step_args("grad_input", 16, seed))
+        high_water.append(workspace.high_water)
+    assert offsets[0] and offsets[1] == offsets[0] and offsets[2] == offsets[0]
+    assert high_water == [high_water[0]] * 3
+
+
+def test_changing_batch_shapes_keep_the_bytes():
+    workspace = ad.Workspace()
+    for i, n in enumerate([16, 16, 7, 16, 3]):
         args = _step_args("grad_input", n, seed=i)
-        served.clear()
         with workspace:
             got = loss_and_grads(*args)
         assert _same_bytes(got, loss_and_grads(*args)), n
-        if i == 0:
-            assert served == []                            # the recording pass
-        else:
-            assert served and all(s == (n == 16) for s in served), (n, served)
 
 
-def test_a_failed_recording_pass_leaves_its_arrays_alone():
+def test_a_failed_pass_leaves_its_arrays_alone():
     workspace = ad.Workspace()
     args = _step_args("none", 16)
     held = []
@@ -165,6 +182,7 @@ def test_a_failed_recording_pass_leaves_its_arrays_alone():
 
     with pytest.raises(RuntimeError), workspace:
         failing_step()
+    assert _in_arena(held[0])
     kept = held[0].copy()
     for _ in range(2):
         with workspace:
@@ -173,9 +191,8 @@ def test_a_failed_recording_pass_leaves_its_arrays_alone():
     assert _same_bytes(got, loss_and_grads(*args))
 
 
-def test_recording_without_an_address_space_reserve_keeps_the_bytes(monkeypatch):
-    # where the reserve cannot be mapped, the first pass records into fresh
-    # blocks and the arena is mapped on its own
+def test_without_an_address_space_reserve_there_is_no_arena(monkeypatch):
+    # where the reserve cannot be mapped, evals allocate as outside a workspace
     monkeypatch.setattr(ad, "_reserve", lambda: None)
     workspace = ad.Workspace()
     args = _step_args("grad_input", 16)
@@ -183,7 +200,7 @@ def test_recording_without_an_address_space_reserve_keeps_the_bytes(monkeypatch)
         with workspace:
             got = loss_and_grads(*args)
         assert _same_bytes(got, loss_and_grads(*args))
-    assert workspace.nbytes > 0
+    assert workspace.high_water == 0
 
 
 def _step_faults(tmp_path, monkeypatch, n: int, batch_size: int) -> list:
@@ -218,7 +235,7 @@ def test_steps_after_an_epochs_first_take_no_page_faults(tmp_path, monkeypatch):
     assert all(f < 100 for f in faults[1:]), faults
 
 
-def test_a_chunked_steps_ragged_last_chunk_is_planned_too(tmp_path, monkeypatch):
+def test_a_chunked_steps_ragged_last_chunk_faults_no_pages_either(tmp_path, monkeypatch):
     # 134 samples keep 120 for training: whole batches of RAGGED, each run in
     # two full chunks and a half one, all inside one workspace block
     assert RAGGED % CHUNK and 120 % RAGGED == 0
@@ -263,19 +280,19 @@ def test_a_chunked_steps_arena_does_not_grow_with_the_batch():
         workspace = ad.Workspace()
         with workspace:
             step_loss_and_grads(*_step_args("none", n))
-        arenas.append(workspace.nbytes)
+        arenas.append(workspace.high_water)
         workspace.close()
     assert 0 < arenas[1] <= 1.05 * arenas[0], [a / 2**20 for a in arenas]
 
 
-def test_a_chunked_paper_arm_step_plans_about_half_the_arena_of_one_call():
+def test_a_chunked_paper_arm_step_takes_about_half_the_arena_of_one_call():
     # the paper's arm, B=16 at relu4, runs as two chunks of 8
     arenas = []
     for step in (step_loss_and_grads, loss_and_grads):
         workspace = ad.Workspace()
         with workspace:
             step(*_step_args("grad_input", 16))
-        arenas.append(workspace.nbytes)
+        arenas.append(workspace.high_water)
         workspace.close()
     assert 0 < arenas[0] <= 0.55 * arenas[1], [a / 2**20 for a in arenas]
 
@@ -287,3 +304,87 @@ def test_an_out_of_range_im2col_table_raises_a_palnet_error():
         ad._im2col_indices(1, 2, 2, 3, -1)
     with pytest.raises(ad.EngineError):
         ad.im2col(np.ones((1, 1, 2, 2)), 3, -1, 0)
+
+
+# a stateful fuzz of the arena: random relu/mul/add/matmul sequences on
+# arrays of at least 256 KiB, pass after pass through one workspace, with
+# outputs and views held across passes and the rows changing between passes
+
+FUZZ_COLS = 4096               # 8 rows of float64 make 256 KiB
+# "matmul" goes down to 64 columns and back up, so its output is large too
+FUZZ_DOWN, FUZZ_UP = (np.random.default_rng(0).uniform(-1.0, 1.0, shape) / shape[0]
+                      for shape in ((FUZZ_COLS, 64), (64, FUZZ_COLS)))
+
+# (kind, first operand, second operand, value to drop after it); positions
+# are taken modulo the number of values alive
+FUZZ_OPS = st.tuples(st.sampled_from(["relu", "mul", "add", "matmul"]), st.integers(0, 15),
+                     st.integers(0, 15), st.none() | st.integers(0, 15))
+
+
+def _fuzz_run(program, x, tracked: bool) -> list:
+    """The program's ops on the start values `x`: the values still alive at
+    its end and, on a tape, the gradients of the last one's sum."""
+    if tracked:
+        tape = ad.Tape()
+        leaves = [tape.leaf(v) for v in x]
+    else:
+        leaves = [ad.Tensor(v) for v in x]
+    values = list(leaves)
+    for kind, i, j, drop in program:
+        a, b = values[i % len(values)], values[j % len(values)]
+        if kind == "relu":
+            values.append(ad.relu(a))
+        elif kind == "matmul":
+            values.append(ad.matmul(ad.matmul(a, FUZZ_DOWN), FUZZ_UP))
+        else:
+            values.append(getattr(ad, kind)(a, b))
+        if drop is not None:
+            del values[drop % len(values)]
+    out = [v.data for v in values]
+    if tracked:
+        out += [g.data for g in ad.backward(ad.reduce_sum(values[-1]), leaves)]
+    return out
+
+
+class ArenaMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.workspace = ad.Workspace()
+        self.held = []             # (an array held across passes, a copy of it)
+
+    @rule(rows=st.sampled_from([3, 8, 12, 16]), program=st.lists(FUZZ_OPS, min_size=1, max_size=12),
+          seed=st.integers(0, 2**16), tracked=st.booleans(), fail=st.booleans(),
+          hold=st.lists(st.tuples(st.integers(0, 15), st.booleans()), max_size=3))
+    def run_pass(self, rows, program, seed, tracked, fail, hold):
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, rows, FUZZ_COLS))
+        want = _fuzz_run(program, x, tracked)
+        got = []
+        with contextlib.suppress(RuntimeError), self.workspace:
+            got = _fuzz_run(program, x, tracked)
+            if fail:
+                raise RuntimeError("a failed pass")
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert self.workspace.high_water > 0 or 8 * rows * FUZZ_COLS < ad._ARENA_MIN_BYTES
+        for i, as_view in hold:
+            a = got[i % len(got)]
+            a = a[1:, ::2] if as_view else a
+            self.held.append((a, a.copy()))
+
+    @rule(data=st.data())
+    def release_one(self, data):
+        if self.held:
+            del self.held[data.draw(st.integers(0, len(self.held) - 1))]
+
+    @invariant()
+    def held_arrays_keep_their_bytes(self):
+        for a, kept in self.held:
+            assert a.tobytes() == kept.tobytes()
+
+    def teardown(self):
+        self.workspace.close()
+
+
+def test_fuzzed_passes_keep_every_held_array_and_the_bytes_of_no_workspace():
+    run_state_machine_as_test(ArenaMachine, settings=settings(
+        derandomize=True, database=None, deadline=None, max_examples=40,
+        stateful_step_count=8))
